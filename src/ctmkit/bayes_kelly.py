@@ -412,13 +412,11 @@ def collapse_binary_identity(bettor: BayesKellyBettor) -> CollapsedBayesKellyBet
         )
     W = np.zeros((steps + 1, H))
     for prefix, weight in bettor._hset.items():
-        state = model.initial
-        for z in prefix:
-            state = state @ model.transition[:, z, :]
-        total = float(state.sum())
-        if total <= 0.0:
+        try:
+            state = model.state_after(prefix)
+        except ValueError:  # the prefix has probability zero under the model
             continue
-        W[sum(prefix)] += weight * (state / total)
+        W[sum(prefix)] += weight * state
     return CollapsedBayesKellyBettor._from_parts(
         model, measure, W, bettor._log_mass, steps, bettor.log_wealth, False,
         bettor._last_density,

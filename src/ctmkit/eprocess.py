@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .models import AlternativeModel
 
@@ -64,17 +64,21 @@ class EProcessState:
 
     ``value`` is exp(log_q - log_ml_sup(n, ones)); it is zero (and absorbing)
     as soon as the alternative gives the realized prefix probability zero.
+    ``forward`` is the alternative's forward state after the ``n`` symbols
+    (see :meth:`AlternativeModel.advance`), or None before the first step,
+    so a step costs one :meth:`AlternativeModel.advance` however long the
+    run.  It is not advanced past a symbol of probability zero.
     """
 
     n: int
     ones: int
     log_q: float
     value: float
-    prefix: tuple = ()
+    forward: object = field(default=None, compare=False)
 
 
 def initial_state() -> EProcessState:
-    return EProcessState(n=0, ones=0, log_q=0.0, value=1.0, prefix=())
+    return EProcessState(n=0, ones=0, log_q=0.0, value=1.0)
 
 
 def eprocess_step(state: EProcessState, z: int, model: AlternativeModel) -> EProcessState:
@@ -84,10 +88,17 @@ def eprocess_step(state: EProcessState, z: int, model: AlternativeModel) -> EPro
         raise ValueError(f"binary e-process expects bits, got {z}")
     if model.alphabet_size != 2:
         raise ValueError("binary e-process needs a binary alternative")
+    forward = state.forward
     if state.log_q > -math.inf:
         # the conditional law is only defined while the prefix is possible
-        cond = float(model.conditional(state.prefix)[z])
-        log_q = state.log_q + math.log(cond) if cond > 0.0 else -math.inf
+        if forward is None:
+            forward = model.start()
+        cond = float(model.probs(forward)[z])
+        if cond > 0.0:
+            log_q = state.log_q + math.log(cond)
+            forward = model.advance(forward, z)
+        else:
+            log_q = -math.inf
     else:
         log_q = -math.inf
     n = state.n + 1
@@ -97,7 +108,7 @@ def eprocess_step(state: EProcessState, z: int, model: AlternativeModel) -> EPro
     else:
         log_value = log_q - log_ml_sup(n, ones)
         value = math.inf if log_value > 709.0 else math.exp(log_value)
-    return EProcessState(n=n, ones=ones, log_q=log_q, value=value, prefix=state.prefix + (z,))
+    return EProcessState(n=n, ones=ones, log_q=log_q, value=value, forward=forward)
 
 
 def run_eprocess(data, model: AlternativeModel) -> list:

@@ -5,9 +5,20 @@ prefix observed so far; that is all the betting engine and the verification
 oracle ever ask of it.  Models are horizon-free: the run length is a runtime
 parameter, never a model parameter.
 
+Sequential callers (sampling, sequence probabilities, the e-process, batched
+conditionals) go through a forward-state interface instead of handing over
+ever longer prefixes: ``start()`` gives the state before any symbol,
+``advance(state, z)`` the state after one more symbol, and ``probs(state)``
+the next-symbol law.  The default state is the prefix itself, so a custom
+model that defines only :meth:`AlternativeModel.conditional` still works, at
+O(N^2) cost over N symbols.  A model with a compact state overrides the three
+methods and every caller becomes O(N).
+
 The two shipped binary alternatives (single changepoint, first-order Markov)
-are expressed as tiny hidden-state chains, which both gives them exact O(n)
-conditionals and makes them eligible for the collapsed betting engine.
+are expressed as tiny hidden-state chains whose forward state is the
+normalised hidden-state posterior (the forward algorithm), which both makes
+each step's cost independent of the prefix length and makes them eligible
+for the collapsed betting engine.
 """
 
 from __future__ import annotations
@@ -43,38 +54,80 @@ class AlternativeModel(ABC):
     def conditional(self, prefix: Sequence[int]) -> np.ndarray:
         """Probability vector of the next symbol given ``prefix``."""
 
+    def start(self):
+        """Forward state before any symbol.  The default state is the prefix."""
+        return ()
+
+    def advance(self, state, z: int):
+        """Forward state after one more symbol ``z``.
+
+        Callers advance only past symbols of positive probability; a model
+        may raise on any other.
+        """
+        return state + (int(z),)
+
+    def probs(self, state) -> np.ndarray:
+        """Probability vector of the next symbol in forward state ``state``."""
+        return self.conditional(state)
+
+    def state_after(self, prefix: Sequence[int]):
+        """Forward state after ``prefix``: :meth:`advance` folded over it."""
+        state = self.start()
+        for z in prefix:
+            state = self.advance(state, z)
+        return state
+
     def conditional_batch(self, prefixes: np.ndarray) -> np.ndarray:
         """Conditionals for many prefixes at once, one per row.
 
-        The default loops over :meth:`conditional`; table-backed models
-        override this with vectorized indexing.
+        The default walks the rows in order and keeps the forward states
+        along the previous row, so each row is advanced only past its common
+        prefix with the row before it.  Lexicographically grouped rows, such
+        as the explicit engine's candidates, then cost one :meth:`advance`
+        per edge of their prefix tree.  Table-backed models override this
+        with vectorized indexing.
         """
         rows = np.asarray(prefixes)
-        return np.stack([self.conditional(tuple(int(z) for z in row)) for row in rows])
+        count, width = rows.shape
+        # shared[i]: length of the common prefix of row i and row i - 1
+        shared = np.zeros(count, dtype=np.int64)
+        if count > 1 and width:
+            neq = rows[1:] != rows[:-1]
+            shared[1:] = np.where(neq.any(axis=1), neq.argmax(axis=1), width)
+        path = [self.start()]  # path[j]: state after the previous row's first j symbols
+        out = []
+        for row, keep in zip(rows.tolist(), shared.tolist()):
+            del path[keep + 1:]
+            for z in row[keep:]:
+                path.append(self.advance(path[-1], z))
+            out.append(self.probs(path[-1]))
+        return np.stack(out)
 
     def sequence_log_probability(self, seq: Sequence[int]) -> float:
         """Natural log probability of a finite sequence; -inf when impossible."""
+        seq = [int(z) for z in seq]
         total = 0.0
-        prefix: tuple = ()
-        for z in seq:
-            z = int(z)
-            prob = float(self.conditional(prefix)[z])
+        state = self.start()
+        for n, z in enumerate(seq):
+            if n:
+                state = self.advance(state, seq[n - 1])
+            prob = float(self.probs(state)[z])
             if prob <= 0.0:
                 return -math.inf
             total += math.log(prob)
-            prefix = prefix + (z,)
         return total
 
     def sample(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         """Draw one sequence of length ``horizon``."""
         out = np.empty(horizon, dtype=np.int64)
-        prefix: tuple = ()
+        state = self.start()
         for n in range(horizon):
-            probs = np.asarray(self.conditional(prefix), dtype=float)
+            if n:
+                state = self.advance(state, z)
+            probs = np.asarray(self.probs(state), dtype=float)
             cum = np.cumsum(probs)
             z = int(min(np.searchsorted(cum, rng.random(), side="right"), self.alphabet_size - 1))
             out[n] = z
-            prefix = prefix + (z,)
         return out
 
 
@@ -116,17 +169,23 @@ class BinaryHMM(AlternativeModel):
     def hidden_size(self) -> int:
         return int(self.initial.size)
 
-    def conditional(self, prefix) -> np.ndarray:
-        state = self.initial
-        for z in prefix:
-            state = state @ self.transition[:, int(z), :]
-            total = float(state.sum())
-            if total <= 0.0:
-                raise ValueError("prefix has probability zero under this model")
-            state = state / total
+    def start(self) -> np.ndarray:
+        return self.initial
+
+    def advance(self, state: np.ndarray, z: int) -> np.ndarray:
+        state = state @ self.transition[:, int(z), :]
+        total = float(state.sum())
+        if total <= 0.0:
+            raise ValueError("prefix has probability zero under this model")
+        return state / total
+
+    def probs(self, state: np.ndarray) -> np.ndarray:
         p1 = float(state @ self.transition[:, 1, :].sum(axis=1))
         p0 = float(state @ self.transition[:, 0, :].sum(axis=1))
         return np.array([p0, p1]) / (p0 + p1)
+
+    def conditional(self, prefix) -> np.ndarray:
+        return self.probs(self.state_after(prefix))
 
     def __repr__(self):
         return f"BinaryHMM({self.description})"

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from ctmkit import (
+    AlternativeModel,
     BinaryHMM,
     IIDModel,
     PointMassModel,
     TableModel,
     changepoint_model,
     iid_model,
+    log_ml_sup,
     markov_model,
+    run_eprocess,
 )
 
 
@@ -198,3 +201,261 @@ class TestTableModel:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError):
             TableModel.from_json(path)
+
+
+# -- forward states against the prefix-refolding algorithm -----------------------
+#
+# The reference below is the algorithm the forward-state interface replaced:
+# every conditional re-filters the whole prefix from the initial law.  The
+# forward-state callers must reproduce it bit for bit, so these tests compare
+# with ``==``, never with a tolerance.
+
+
+def _ref_conditional(model, prefix):
+    prefix = tuple(int(z) for z in prefix)
+    if not isinstance(model, BinaryHMM):
+        return model.conditional(prefix)
+    state = model.initial
+    for z in prefix:
+        state = state @ model.transition[:, z, :]
+        total = float(state.sum())
+        if total <= 0.0:
+            raise ValueError("prefix has probability zero under this model")
+        state = state / total
+    p1 = float(state @ model.transition[:, 1, :].sum(axis=1))
+    p0 = float(state @ model.transition[:, 0, :].sum(axis=1))
+    return np.array([p0, p1]) / (p0 + p1)
+
+
+def _ref_sample(model, horizon, rng):
+    out = np.empty(horizon, dtype=np.int64)
+    prefix = ()
+    for n in range(horizon):
+        probs = np.asarray(_ref_conditional(model, prefix), dtype=float)
+        cum = np.cumsum(probs)
+        z = int(min(np.searchsorted(cum, rng.random(), side="right"), model.alphabet_size - 1))
+        out[n] = z
+        prefix = prefix + (z,)
+    return out
+
+
+def _ref_log_probability(model, seq):
+    total = 0.0
+    prefix = ()
+    for z in seq:
+        prob = float(_ref_conditional(model, prefix)[z])
+        if prob <= 0.0:
+            return -math.inf
+        total += math.log(prob)
+        prefix = prefix + (z,)
+    return total
+
+
+def _ref_eprocess(model, data):
+    out = []
+    log_q = 0.0
+    prefix = ()
+    for n, z in enumerate(data, start=1):
+        if log_q > -math.inf:
+            cond = float(_ref_conditional(model, prefix)[z])
+            log_q = log_q + math.log(cond) if cond > 0.0 else -math.inf
+        prefix = prefix + (z,)
+        if log_q == -math.inf:
+            value = 0.0
+        else:
+            log_value = log_q - log_ml_sup(n, sum(prefix))
+            value = math.inf if log_value > 709.0 else math.exp(log_value)
+        out.append((n, sum(prefix), log_q, value))
+    return out
+
+
+class LaplaceModel(AlternativeModel):
+    """Rule of succession: a custom model that defines only ``conditional``."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def conditional(self, prefix):
+        p1 = (sum(prefix) + 1.0) / (len(prefix) + 2.0)
+        return np.array([1.0 - p1, p1])
+
+
+def _binary_models():
+    return [
+        changepoint_model(0.5, 0.9, 0.2),
+        changepoint_model(0.3, 0.8, 0.05),
+        changepoint_model(0.3, 0.9, 0.0),
+        changepoint_model(0.3, 0.9, 1.0),
+        changepoint_model(0.0, 1.0, 0.2),
+        changepoint_model(1.0, 0.0, 0.4),
+        changepoint_model(0.0, 0.0, 0.5),
+        markov_model(0.1, 0.1),
+        markov_model(0.2, 0.1, 0.5),
+        markov_model(0.0, 0.0, 1.0),
+        markov_model(0.0, 0.0, 0.5),
+        markov_model(1.0, 1.0, 0.0),
+        iid_model([0.4, 0.6]),
+        iid_model([1.0, 0.0]),
+        PointMassModel([1, 0, 1], alphabet_size=2),
+        TableModel.random(2, depth=3, rng=np.random.default_rng(11)),
+        LaplaceModel(),
+    ]
+
+
+def _ternary_models():
+    return [
+        iid_model([0.2, 0.3, 0.5]),
+        PointMassModel([2, 0, 1, 1], alphabet_size=3),
+        TableModel.random(3, depth=2, rng=np.random.default_rng(12)),
+    ]
+
+
+def _all_sequences(m, length):
+    if length == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    grids = np.meshgrid(*[np.arange(m)] * length, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _ids(pairs):
+    return [repr(model) if isinstance(model, BinaryHMM) else type(model).__name__
+            for model, _ in pairs]
+
+
+# (model, longest sequence checked exhaustively)
+BINARY = [(model, 8) for model in _binary_models()]
+MODELS = BINARY + [(model, 5) for model in _ternary_models()]
+
+
+class TestForwardStateBitIdentity:
+    @pytest.mark.parametrize("model,depth", MODELS, ids=_ids(MODELS))
+    def test_sample(self, model, depth):
+        for seed in range(5):
+            got = model.sample(60, np.random.default_rng(seed))
+            want = _ref_sample(model, 60, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model,depth", MODELS, ids=_ids(MODELS))
+    def test_sequence_log_probability(self, model, depth):
+        for length in range(depth + 1):
+            for seq in _all_sequences(model.alphabet_size, length).tolist():
+                assert model.sequence_log_probability(seq) == _ref_log_probability(model, seq)
+
+    @pytest.mark.parametrize("model,depth", MODELS, ids=_ids(MODELS))
+    def test_conditional_batch(self, model, depth):
+        rng = np.random.default_rng(13)
+        for length in range(min(depth, 6) + 1):
+            rows = _all_sequences(model.alphabet_size, length)
+            possible = [_ref_log_probability(model, row) > -math.inf for row in rows.tolist()]
+            rows = rows[np.array(possible, dtype=bool)]
+            shuffled = rows[rng.permutation(len(rows))]
+            duplicated = np.repeat(shuffled, rng.integers(1, 4, len(rows)), axis=0)
+            for batch in (rows, shuffled, duplicated):
+                want = np.stack([_ref_conditional(model, row) for row in batch])
+                assert np.array_equal(model.conditional_batch(batch), want)
+                # the forward-state default, also for models that override it
+                assert np.array_equal(AlternativeModel.conditional_batch(model, batch), want)
+                for row, got in zip(batch, want):
+                    assert np.array_equal(model.conditional(row), got)
+
+    @pytest.mark.parametrize("model", [model for model, _ in BINARY], ids=_ids(BINARY))
+    def test_run_eprocess(self, model):
+        for seed in range(5):
+            data = model.sample(40, np.random.default_rng(seed)).tolist()
+            noisy = np.random.default_rng(seed).integers(0, 2, 40).tolist()
+            for bits in (data, noisy):
+                got = [(s.n, s.ones, s.log_q, s.value) for s in run_eprocess(bits, model)]
+                assert got == _ref_eprocess(model, bits)
+
+
+def _count_advances(model):
+    calls = []
+    advance = model.advance
+
+    def counted(state, z):
+        calls.append(int(z))
+        return advance(state, z)
+
+    model.advance = counted
+    return calls
+
+
+COUNTED = {
+    "changepoint": lambda: changepoint_model(0.5, 0.9, 0.2),
+    "markov": lambda: markov_model(0.1, 0.1),
+    "point_mass": lambda: PointMassModel([1, 0, 1], alphabet_size=2),
+    "laplace": LaplaceModel,
+}
+
+
+class TestForwardStateCost:
+    """Forward-state callers are O(N): counted in advances, not timed."""
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_sample_advances_between_symbols_only(self, name):
+        for horizon in (1, 2, 50, 400):
+            model = COUNTED[name]()
+            calls = _count_advances(model)
+            out = model.sample(horizon, np.random.default_rng(horizon))
+            assert len(calls) == horizon - 1
+            assert calls == out[:-1].tolist()
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_sequence_log_probability_is_linear(self, name):
+        model = COUNTED[name]()
+        seq = model.sample(300, np.random.default_rng(1)).tolist()
+        calls = _count_advances(model)
+        model.sequence_log_probability(seq)
+        assert len(calls) <= len(seq) - 1
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_run_eprocess_is_linear(self, name):
+        model = COUNTED[name]()
+        bits = np.random.default_rng(2).integers(0, 2, 300).tolist()
+        calls = _count_advances(model)
+        run_eprocess(bits, model)
+        assert len(calls) <= len(bits)
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_sorted_batch_walks_the_prefix_tree(self, name):
+        model = COUNTED[name]()
+        k = 8
+        calls = _count_advances(model)
+        model.conditional_batch(_all_sequences(2, k))
+        assert len(calls) == 2 ** (k + 1) - 2  # one advance per edge of the tree
+
+
+class TestForwardStateEdges:
+    def test_impossible_sequences_are_minus_infinity(self):
+        # (model, sequence, index of its first impossible symbol)
+        cases = [
+            (markov_model(0.0, 0.0, 1.0), [0], 0),
+            (markov_model(0.0, 0.0, 1.0), [1, 0, 1, 1], 1),
+            (changepoint_model(1.0, 1.0, 0.0), [1, 1, 0, 0, 0], 2),
+            (iid_model([1.0, 0.0]), [0, 0, 1], 2),
+        ]
+        for model, seq, impossible in cases:
+            calls = _count_advances(model)
+            assert model.sequence_log_probability(seq) == -math.inf
+            # advanced past the symbols before the impossible one, never past it
+            assert calls == seq[:impossible]
+
+    def test_eprocess_absorbs_at_zero(self):
+        model = markov_model(0.0, 0.0, 1.0)
+        states = run_eprocess([1, 1, 0, 1, 1, 0, 1], model)
+        assert [s.value > 0.0 for s in states] == [True, True] + [False] * 5
+        assert all(s.log_q == -math.inf for s in states[2:])
+
+    def test_frozen_markov_samples_at_horizon_50(self):
+        assert markov_model(0.0, 0.0, 1.0).sample(50, np.random.default_rng(0)).tolist() == [1] * 50
+        assert markov_model(0.0, 0.0, 0.0).sample(50, np.random.default_rng(0)).tolist() == [0] * 50
+
+    def test_batch_with_an_impossible_row_raises(self):
+        model = markov_model(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="probability zero"):
+            model.conditional_batch(np.array([[1, 1], [1, 0], [0, 0]]))
+
+    def test_empty_rows(self):
+        model = changepoint_model(0.5, 0.9, 0.2)
+        got = model.conditional_batch(np.zeros((3, 0), dtype=np.int64))
+        assert np.array_equal(got, np.stack([model.conditional(())] * 3))
