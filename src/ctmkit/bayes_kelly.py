@@ -19,7 +19,10 @@ the oracle module certifies this exactly on small instances.
 
 Two implementations are provided.  ``BayesKellyBettor`` enumerates candidates
 explicitly and works for any finite alphabet and conformity measure at cost
-``alphabet**step`` (desk scale: up to about a million candidates).
+``alphabet**step`` (desk scale: up to about a million candidates); each step
+asks the model for all candidates' conditionals in one ``conditional_batch``
+call, which a hidden-state model answers with one batched forward step per
+prefix depth.
 ``CollapsedBayesKellyBettor`` handles the binary-alphabet identity-measure
 case at polynomial cost by collapsing candidates onto (ones count, hidden
 state), which is all that identity ranks and a hidden-state alternative can
@@ -144,7 +147,7 @@ def _density_from_stats(n, norm_weights, n_star, n_upper, k) -> PiecewiseDensity
     if low < -1e-9:
         raise AssertionError(f"predictive density went negative: {low}")
     heights = np.maximum(heights, 0.0)
-    return PiecewiseDensity(tuple(float(h) for h in heights))
+    return PiecewiseDensity(heights)
 
 
 def predictive_density(hset: HypothesisSet, measure: ConformityMeasure) -> PiecewiseDensity:
@@ -335,7 +338,7 @@ class CollapsedBayesKellyBettor(BettingMartingale):
             n_star.ravel(), weights=v.ravel(), minlength=n + 1
         ) - np.bincount(n_upper.ravel(), weights=v.ravel(), minlength=n + 1)
         heights = np.maximum(np.cumsum(diff)[:n], 0.0)
-        density = PiecewiseDensity(tuple(float(h) for h in heights))
+        density = PiecewiseDensity(heights)
         self._cache = (n, ext, g, ksafe, n_star, n_upper)
         self._last_density = density
         return density

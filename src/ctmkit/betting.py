@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+
+import numpy as np
 
 NORMALIZATION_TOL = 1e-12
 
@@ -20,42 +21,84 @@ NORMALIZATION_TOL = 1e-12
 _MAX_EXP_ARG = 709.0
 
 
-@dataclass(frozen=True)
+def linear_from_log(log_value: float) -> float:
+    """``exp(log_value)``, with -inf mapped to 0 and anything past the float
+    range reported as +inf instead of raising.  The log value stays the
+    authoritative one; this is only its linear read-out."""
+    if log_value == -math.inf:
+        return 0.0
+    if log_value > _MAX_EXP_ARG:
+        return math.inf
+    return math.exp(log_value)
+
+
 class PiecewiseDensity:
     """Density on [0, 1], constant on ``n`` equal intervals.
 
     Grid intervals are half-open ``[i/n, (i+1)/n)`` except the last, which is
     closed at 1.  Heights must be nonnegative and average to one; with both
-    constraints no height can exceed ``n``.
+    constraints no height can exceed ``n``.  They are stored as a read-only
+    float64 array (:attr:`array`) and validated in bulk; :attr:`heights` is
+    the same values as a tuple of floats, which is also what equality,
+    hashing and ``repr`` go by.
     """
 
-    heights: tuple
+    __slots__ = ("_array",)
 
-    def __post_init__(self):
-        if len(self.heights) == 0:
+    def __init__(self, heights):
+        hs = np.array(heights, dtype=float)
+        if hs.ndim != 1:
+            raise ValueError(f"heights must be one-dimensional, got shape {hs.shape}")
+        n = hs.size
+        if n == 0:
             raise ValueError("density needs at least one grid interval")
-        hs = tuple(float(h) for h in self.heights)
-        object.__setattr__(self, "heights", hs)
-        n = len(hs)
-        for i, h in enumerate(hs):
+        bound = n * (1.0 + NORMALIZATION_TOL)
+        # min and max are NaN when any height is, which fails both tests
+        if not (hs.min() >= 0.0 and hs.max() <= bound):
+            i = int((~np.isfinite(hs) | (hs < 0.0) | (hs > bound)).argmax())
+            h = float(hs[i])
             if not math.isfinite(h) or h < 0.0:
                 raise ValueError(f"height {i} must be finite and nonnegative, got {h}")
-            if h > n * (1.0 + NORMALIZATION_TOL):
-                raise ValueError(f"height {i} exceeds the grid bound {n}: {h}")
-        total = math.fsum(hs) / n
+            raise ValueError(f"height {i} exceeds the grid bound {n}: {h}")
+        total = math.fsum(hs.tolist()) / n
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density must integrate to 1, got {total!r}")
+        hs.setflags(write=False)
+        self._array = hs
+
+    @property
+    def array(self) -> np.ndarray:
+        """The heights as a read-only float64 array."""
+        return self._array
+
+    @property
+    def heights(self) -> tuple:
+        return tuple(self._array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.heights)
+        return self._array.size
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.heights == other.heights
+
+    def __hash__(self):
+        return hash(self.heights)
+
+    def __repr__(self):
+        return f"PiecewiseDensity(heights={self.heights!r})"
+
+    def __reduce__(self):
+        return (type(self), (self._array,))
 
     @classmethod
     def uniform(cls, n: int = 1) -> "PiecewiseDensity":
-        return cls(tuple(1.0 for _ in range(n)))
+        return cls(np.ones(n))
 
     def integral(self) -> float:
-        return math.fsum(self.heights) / self.n
+        return math.fsum(self._array.tolist()) / self.n
 
     def evaluate(self, p: float) -> float:
         """Height of the grid interval containing ``p``.
@@ -65,8 +108,8 @@ class PiecewiseDensity:
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        idx = min(int(p * self.n), self.n - 1)
-        return self.heights[idx]
+        n = self._array.size
+        return float(self._array[min(int(p * n), n - 1)])
 
 
 def density_integral(density: PiecewiseDensity) -> float:
@@ -110,11 +153,7 @@ class BettingMartingale(ABC):
 
     @property
     def wealth(self) -> float:
-        if self._log_wealth == -math.inf:
-            return 0.0
-        if self._log_wealth > _MAX_EXP_ARG:
-            return math.inf
-        return math.exp(self._log_wealth)
+        return linear_from_log(self._log_wealth)
 
     def next_density(self) -> PiecewiseDensity:
         """Density committed for the upcoming step (idempotent until update)."""

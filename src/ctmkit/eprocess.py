@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .betting import linear_from_log
 from .models import AlternativeModel
 
 __all__ = [
@@ -103,11 +104,7 @@ def eprocess_step(state: EProcessState, z: int, model: AlternativeModel) -> EPro
         log_q = -math.inf
     n = state.n + 1
     ones = state.ones + z
-    if log_q == -math.inf:
-        value = 0.0
-    else:
-        log_value = log_q - log_ml_sup(n, ones)
-        value = math.inf if log_value > 709.0 else math.exp(log_value)
+    value = linear_from_log(log_q - log_ml_sup(n, ones))
     return EProcessState(n=n, ones=ones, log_q=log_q, value=value, forward=forward)
 
 

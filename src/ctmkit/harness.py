@@ -25,7 +25,7 @@ from scipy import stats as _scipy_stats
 
 from . import oracle as _oracle
 from .bayes_kelly import BayesKellyBettor, CollapsedBayesKellyBettor, bayes_kelly_bettor
-from .betting import ConstantBettor, PiecewiseDensity, ShrunkAlternativeBettor
+from .betting import ConstantBettor, PiecewiseDensity, ShrunkAlternativeBettor, linear_from_log
 from .conformal import (
     ConstantTauSource,
     DistanceToMeanMeasure,
@@ -362,14 +362,6 @@ def _fmt_obs(z) -> str:
     return str(int(f)) if f.is_integer() and abs(f) < 2**53 else repr(f)
 
 
-def _wealth_from_log(log_wealth: float) -> float:
-    if log_wealth == -math.inf:
-        return 0.0
-    if log_wealth > 709.0:
-        return math.inf
-    return math.exp(log_wealth)
-
-
 def _format_rows(rep: int, payload: dict) -> str:
     lines = []
     z_arr = payload["z"]
@@ -388,7 +380,7 @@ def _format_rows(rep: int, payload: dict) -> str:
                     str(int(payload["n_upper"][i])),
                     _fmt(payload["p"][i]),
                     _fmt(payload["factor"][i]),
-                    _fmt(_wealth_from_log(log_w)),
+                    _fmt(linear_from_log(log_w)),
                     _fmt(log_w / _LN10),
                 )
             )
@@ -474,7 +466,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
             fh.write(_format_rows(rep, payload))
             log_w = float(payload["log_wealth"][-1])
             final_log.append(log_w)
-            final_wealth.append(_wealth_from_log(log_w))
+            final_wealth.append(linear_from_log(log_w))
     audit = audit_trajectory(traj_path)
     wealth_arr = np.asarray(final_wealth)
     log_arr = np.asarray(final_log)
@@ -526,7 +518,7 @@ def run_validate(cfg: ExperimentConfig) -> dict:
         if p.size > 1:
             lag_first.append(p[:-1])
             lag_second.append(p[1:])
-        final_wealth.append(_wealth_from_log(float(payload["log_wealth"][-1])))
+        final_wealth.append(linear_from_log(float(payload["log_wealth"][-1])))
     pooled_arr = np.concatenate(pooled)
     ks = _scipy_stats.kstest(pooled_arr, "uniform", method="asymp")
     if lag_first:

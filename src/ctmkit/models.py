@@ -14,11 +14,19 @@ model that defines only :meth:`AlternativeModel.conditional` still works, at
 O(N^2) cost over N symbols.  A model with a compact state overrides the three
 methods and every caller becomes O(N).
 
+The same step comes batched over many rows, ``advance_batch(states,
+symbols)`` and ``probs_batch(states)``; by default they loop over the scalar
+methods.  Batched conditionals walk the rows' prefix tree level by level,
+one ``advance_batch`` per depth, so a model that steps many states in one
+array operation serves the explicit betting engine's candidates in O(depth)
+calls rather than one call per tree edge.
+
 The two shipped binary alternatives (single changepoint, first-order Markov)
 are expressed as tiny hidden-state chains whose forward state is the
 normalised hidden-state posterior (the forward algorithm), which both makes
 each step's cost independent of the prefix length and makes them eligible
-for the collapsed betting engine.
+for the collapsed betting engine.  Their batched step is the same forward
+algorithm on a ``(rows, H)`` array of posteriors.
 """
 
 from __future__ import annotations
@@ -77,15 +85,37 @@ class AlternativeModel(ABC):
             state = self.advance(state, z)
         return state
 
+    def advance_batch(self, states, symbols: np.ndarray):
+        """Forward states after one more symbol, one row per state.
+
+        ``states`` is a list of forward states or rows taken from an earlier
+        :meth:`advance_batch` result; the result must support integer-array
+        indexing.  The default calls :meth:`advance` row by row.
+        """
+        out = np.empty(len(symbols), dtype=object)
+        for i, (state, z) in enumerate(zip(states, symbols.tolist())):
+            out[i] = self.advance(state, z)
+        return out
+
+    def probs_batch(self, states) -> np.ndarray:
+        """Next-symbol laws, one row per forward state in ``states``.
+
+        The default calls :meth:`probs` row by row.
+        """
+        return np.stack([self.probs(state) for state in states])
+
     def conditional_batch(self, prefixes: np.ndarray) -> np.ndarray:
         """Conditionals for many prefixes at once, one per row.
 
-        The default walks the rows in order and keeps the forward states
-        along the previous row, so each row is advanced only past its common
-        prefix with the row before it.  Lexicographically grouped rows, such
-        as the explicit engine's candidates, then cost one :meth:`advance`
-        per edge of their prefix tree.  Table-backed models override this
-        with vectorized indexing.
+        The default walks the rows' prefix tree level by level, taking
+        neighbouring rows that agree on their first j symbols to share a
+        node at depth j.  At each depth, the rows that open a new node are
+        advanced from their parents' states in one :meth:`advance_batch`
+        call, and the leaves go through one :meth:`probs_batch` call.
+        Lexicographically grouped rows, such as the explicit engine's
+        candidates, thus cost one forward step per edge of their prefix
+        tree, taken in ``width`` batched calls.  Table-backed models
+        override this with vectorized indexing.
         """
         rows = np.asarray(prefixes)
         count, width = rows.shape
@@ -94,14 +124,14 @@ class AlternativeModel(ABC):
         if count > 1 and width:
             neq = rows[1:] != rows[:-1]
             shared[1:] = np.where(neq.any(axis=1), neq.argmax(axis=1), width)
-        path = [self.start()]  # path[j]: state after the previous row's first j symbols
-        out = []
-        for row, keep in zip(rows.tolist(), shared.tolist()):
-            del path[keep + 1:]
-            for z in row[keep:]:
-                path.append(self.advance(path[-1], z))
-            out.append(self.probs(path[-1]))
-        return np.stack(out)
+        level = [self.start()]  # forward states of the nodes at depth j
+        node = np.zeros(count, dtype=np.int64)  # node[i]: row i's node in level
+        for j in range(width):
+            opens = shared <= j  # rows whose node at depth j + 1 is new
+            parents = [level[0]] * int(opens.sum()) if j == 0 else level[node[opens]]
+            level = self.advance_batch(parents, rows[opens, j])
+            node = opens.cumsum() - 1
+        return self.probs_batch(level)[node]
 
     def sequence_log_probability(self, seq: Sequence[int]) -> float:
         """Natural log probability of a finite sequence; -inf when impossible."""
@@ -183,6 +213,24 @@ class BinaryHMM(AlternativeModel):
         p1 = float(state @ self.transition[:, 1, :].sum(axis=1))
         p0 = float(state @ self.transition[:, 0, :].sum(axis=1))
         return np.array([p0, p1]) / (p0 + p1)
+
+    # The batched step reproduces advance/probs row for row, bit for bit:
+    # S @ T[:, z, :] rounds each row as state @ T[:, z, :] does, and
+    # S.sum(axis=1) as state.sum() does (einsum or sums over h do not).
+    def advance_batch(self, states, symbols: np.ndarray) -> np.ndarray:
+        S = np.asarray(states, dtype=float)
+        T = self.transition
+        S = np.where((np.asarray(symbols) == 1)[:, None], S @ T[:, 1, :], S @ T[:, 0, :])
+        total = S.sum(axis=1)
+        if (total <= 0.0).any():
+            raise ValueError("prefix has probability zero under this model")
+        return S / total[:, None]
+
+    def probs_batch(self, states) -> np.ndarray:
+        T = self.transition
+        R = np.stack([T[:, 0, :].sum(axis=1), T[:, 1, :].sum(axis=1)], axis=1)
+        pp = np.asarray(states, dtype=float) @ R
+        return pp / (pp[:, 0] + pp[:, 1])[:, None]
 
     def conditional(self, prefix) -> np.ndarray:
         return self.probs(self.state_after(prefix))

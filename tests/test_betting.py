@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ctmkit import (
     ShrunkAlternativeBettor,
     wealth_update,
 )
-from ctmkit.betting import density_integral
+from ctmkit.betting import density_integral, linear_from_log
 
 
 class TestPiecewiseDensity:
@@ -63,6 +64,55 @@ class TestPiecewiseDensity:
             # exact: evaluating at interval midpoints recovers the heights
             riemann = math.fsum(d.evaluate((i + 0.5) / n) for i in range(n)) / n
             assert riemann == d.integral()
+
+    def test_accepts_arrays_and_stores_them_read_only(self):
+        raw = np.array([2.0, 0.0])
+        d = PiecewiseDensity(raw)
+        raw[0] = 5.0  # the density keeps its own copy
+        assert d == PiecewiseDensity((2.0, 0.0))
+        assert hash(d) == hash(PiecewiseDensity([2.0, 0.0]))
+        assert d.array.dtype == np.float64 and not d.array.flags.writeable
+        with pytest.raises(ValueError):
+            d.array[0] = 1.0
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy == d and not copy.array.flags.writeable
+
+    def test_heights_are_a_tuple_of_floats(self):
+        d = PiecewiseDensity(np.array([1, 2, 0]))
+        assert d.heights == (1.0, 2.0, 0.0)
+        assert type(d.heights) is tuple
+        assert all(type(h) is float for h in d.heights)
+        assert repr(d) == "PiecewiseDensity(heights=(1.0, 2.0, 0.0))"
+
+    @pytest.mark.parametrize("heights,message", [
+        ((1.0, math.nan), "height 1 must be finite and nonnegative, got nan"),
+        ((0.5, math.inf), "height 1 must be finite and nonnegative, got inf"),
+        ((-0.5, 2.5), "height 0 must be finite and nonnegative, got -0.5"),
+        ((2.5, -0.5), "height 0 exceeds the grid bound 2: 2.5"),
+        ((1.5, 0.6), "density must integrate to 1, got 1.05"),
+        ((), "density needs at least one grid interval"),
+    ])
+    def test_error_messages(self, heights, message):
+        for given in (heights, np.array(heights, dtype=float)):
+            with pytest.raises(ValueError) as err:
+                PiecewiseDensity(given)
+            assert str(err.value) == message
+
+    def test_evaluate_returns_a_python_float(self):
+        d = PiecewiseDensity(np.array([0.5, 1.5]))
+        for p in (0.0, 0.5, 1.0):
+            assert type(d.evaluate(p)) is float
+
+
+class TestLinearFromLog:
+    def test_values(self):
+        assert linear_from_log(-math.inf) == 0.0
+        assert linear_from_log(0.0) == 1.0
+        assert linear_from_log(math.log(2.5)) == math.exp(math.log(2.5))
+        # finite up to the clamp, +inf past it, though exp overflows only near 709.78
+        assert linear_from_log(709.0) == math.exp(709.0)
+        assert linear_from_log(709.2) == math.inf
+        assert linear_from_log(math.inf) == math.inf
 
 
 class TestWealthUpdate:

@@ -6,11 +6,15 @@ import pytest
 
 from ctmkit import (
     AlternativeModel,
+    BayesKellyBettor,
     BinaryHMM,
+    DistanceToMeanMeasure,
     IIDModel,
     PointMassModel,
     TableModel,
+    UniformTauSource,
     changepoint_model,
+    ctm_run,
     iid_model,
     log_ml_sup,
     markov_model,
@@ -358,6 +362,29 @@ class TestForwardStateBitIdentity:
                 for row, got in zip(batch, want):
                     assert np.array_equal(model.conditional(row), got)
 
+    def test_explicit_engine_batches_every_step(self):
+        # distmean has no collapsed path, so each step's candidates reach the
+        # batched forward walk through extend
+        model = changepoint_model(0.3, 0.8, 0.05)
+        seen = []
+        batch = model.conditional_batch
+
+        def recorded(prefixes):
+            out = batch(prefixes)
+            seen.append((np.array(prefixes), out))
+            return out
+
+        model.conditional_batch = recorded
+        for seed in range(4):
+            data = model.sample(12, np.random.default_rng(seed))
+            bettor = BayesKellyBettor(model, DistanceToMeanMeasure())
+            ctm_run(data, DistanceToMeanMeasure(), bettor, UniformTauSource(seed), 12)
+        assert len(seen) == 4 * 12
+        assert max(len(prefixes) for prefixes, _ in seen) > 20
+        for prefixes, got in seen:
+            want = np.stack([_ref_conditional(model, row) for row in prefixes])
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("model", [model for model, _ in BINARY], ids=_ids(BINARY))
     def test_run_eprocess(self, model):
         for seed in range(5):
@@ -369,14 +396,40 @@ class TestForwardStateBitIdentity:
 
 
 def _count_advances(model):
+    """Symbols of the forward steps ``model`` takes: scalar advances plus the
+    rows of each batched step.  The default ``advance_batch`` steps through
+    ``advance``, so those rows count once, not twice."""
     calls = []
-    advance = model.advance
+    batching = []
+    advance, advance_batch = model.advance, model.advance_batch
 
     def counted(state, z):
-        calls.append(int(z))
+        if not batching:
+            calls.append(int(z))
         return advance(state, z)
 
+    def counted_batch(states, symbols):
+        calls.extend(int(z) for z in symbols)
+        batching.append(True)
+        try:
+            return advance_batch(states, symbols)
+        finally:
+            batching.pop()
+
     model.advance = counted
+    model.advance_batch = counted_batch
+    return calls
+
+
+def _count_calls(model, name):
+    calls = []
+    method = getattr(model, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    setattr(model, name, counted)
     return calls
 
 
@@ -423,6 +476,29 @@ class TestForwardStateCost:
         calls = _count_advances(model)
         model.conditional_batch(_all_sequences(2, k))
         assert len(calls) == 2 ** (k + 1) - 2  # one advance per edge of the tree
+
+    @pytest.mark.parametrize("name", ["changepoint", "markov"])
+    def test_hidden_state_batch_takes_one_batched_step_per_level(self, name):
+        for k in (0, 1, 8):
+            model = COUNTED[name]()
+            scalar = _count_calls(model, "advance")
+            batched = _count_calls(model, "advance_batch")
+            leaves = _count_calls(model, "probs_batch")
+            rows = _all_sequences(2, k)
+            model.conditional_batch(rows)
+            assert len(batched) == k
+            # level j opens 2**(j + 1) nodes, each from its parent's state
+            assert [len(symbols) for _, symbols in batched] == [2 ** (j + 1) for j in range(k)]
+            assert len(leaves) == 1 and len(leaves[0][0]) == len(rows)
+            assert scalar == []
+
+    @pytest.mark.parametrize("name", ["point_mass", "laplace"])
+    def test_conditional_only_batch_advances_once_per_edge(self, name):
+        model = COUNTED[name]()
+        k = 8
+        scalar = _count_calls(model, "advance")
+        model.conditional_batch(_all_sequences(2, k))
+        assert len(scalar) == 2 ** (k + 1) - 2
 
 
 class TestForwardStateEdges:
