@@ -112,21 +112,6 @@ class PiecewiseDensity:
         return float(self._array[min(int(p * n), n - 1)])
 
 
-def density_integral(density: PiecewiseDensity) -> float:
-    return density.integral()
-
-
-def wealth_update(wealth: float, factor: float) -> float:
-    """Multiply wealth by a betting factor; zero is absorbing."""
-    if wealth < 0.0:
-        raise ValueError(f"wealth must be nonnegative, got {wealth}")
-    if factor < 0.0:
-        raise ValueError(f"betting factor must be nonnegative, got {factor}")
-    if wealth == 0.0:
-        return 0.0
-    return wealth * factor
-
-
 class BettingMartingale(ABC):
     """Stateful betting strategy over the p-value stream.
 

@@ -31,7 +31,6 @@ __all__ = [
     "TauSource",
     "UniformTauSource",
     "ConstantTauSource",
-    "SequenceTauSource",
     "TrajectoryStep",
     "score_window",
     "tie_counts",
@@ -198,25 +197,6 @@ class ConstantTauSource(TauSource):
 
     def draw(self) -> float:
         return self._value
-
-
-class SequenceTauSource(TauSource):
-    """Replays a fixed finite list of draws; raises when exhausted."""
-
-    def __init__(self, values):
-        vals = [float(v) for v in values]
-        for v in vals:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"tau must lie in [0, 1], got {v}")
-        self._values = vals
-        self._next = 0
-
-    def draw(self) -> float:
-        if self._next >= len(self._values):
-            raise ValueError(f"tau sequence exhausted after {len(self._values)} draws")
-        v = self._values[self._next]
-        self._next += 1
-        return v
 
 
 @dataclass(frozen=True)

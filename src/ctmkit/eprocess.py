@@ -24,11 +24,9 @@ from .models import AlternativeModel
 __all__ = [
     "EProcessState",
     "initial_state",
-    "ml_sup",
     "log_ml_sup",
     "eprocess_step",
     "run_eprocess",
-    "empirical_ml",
     "log_empirical_ml",
     "example_distinct_report",
 ]
@@ -53,10 +51,6 @@ def log_ml_sup(n: int, ones: int) -> float:
     if zeros:
         out += zeros * math.log(zeros / n)
     return out
-
-
-def ml_sup(n: int, ones: int) -> float:
-    return math.exp(log_ml_sup(n, ones))
 
 
 @dataclass(frozen=True)
@@ -132,10 +126,6 @@ def log_empirical_ml(values) -> float:
     n = len(vals)
     counts = Counter(vals)
     return math.fsum(m * math.log(m / n) for m in counts.values())
-
-
-def empirical_ml(values) -> float:
-    return math.exp(log_empirical_ml(values))
 
 
 def example_distinct_report(values) -> dict:

@@ -251,9 +251,9 @@ def build_bettor(cfg: ExperimentConfig):
     model = build_alternative(cfg.alt)
     measure = build_measure(cfg.measure)
     if kind == "bayes_kelly":
-        return bayes_kelly_bettor(model, measure, collapse="auto"), model, measure
+        return bayes_kelly_bettor(model, measure), model, measure
     if kind == "bayes_kelly_full":
-        return bayes_kelly_bettor(model, measure, collapse="never"), model, measure
+        return BayesKellyBettor(model, measure), model, measure
     if kind == "constant":
         return ConstantBettor(), model, measure
     if kind == "density":

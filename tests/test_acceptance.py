@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from ctmkit import (
+    BayesKellyBettor,
+    CollapsedBayesKellyBettor,
     DistanceToMeanMeasure,
     IdentityMeasure,
     TableModel,
-    bayes_kelly_bettor,
     bk_factor_sequences,
     cell_tree,
     changepoint_model,
@@ -33,6 +34,11 @@ from ctmkit import (
 )
 from ctmkit.cli import main as cli_main
 from ctmkit.harness import ExperimentConfig, run_validate
+
+
+def _weights(hset):
+    """Candidate prefix -> weight."""
+    return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -76,7 +82,7 @@ def test_criterion_1_density_law():
         steps = int(rng.integers(1, 9))
         model = TableModel.random(m, depth=int(rng.integers(1, steps + 1)), rng=rng)
         measure = DistanceToMeanMeasure() if rng.random() < 0.5 else IdentityMeasure()
-        bettor = bayes_kelly_bettor(model, measure, collapse="never")
+        bettor = BayesKellyBettor(model, measure)
         data = rng.integers(0, m, steps)
         for i in range(steps):
             density = bettor.next_density()
@@ -243,14 +249,14 @@ def test_criterion_7_engine_matches_oracle(certified_trees):
         if model.alphabet_size != 2 or not isinstance(measure, IdentityMeasure):
             continue
         for cell in cells:
-            bettor = bayes_kelly_bettor(model, measure, collapse="never")
+            bettor = BayesKellyBettor(model, measure)
             for n, (idx, height) in enumerate(zip(cell.intervals, cell.bk_heights), 1):
                 mid = (idx + 0.5) / n
                 worst_height = max(
                     worst_height, abs(bettor.next_density().evaluate(mid) - height)
                 )
                 bettor.update(mid)
-            engine = bettor.hypothesis_set.as_dict()
+            engine = _weights(bettor.hypothesis_set)
             assert set(engine) == set(cell.final_weights)
             for prefix, weight in cell.final_weights.items():
                 worst_weight = max(worst_weight, abs(engine[prefix] - weight))
@@ -261,10 +267,8 @@ def test_criterion_7_engine_matches_oracle(certified_trees):
     for model_factory in (lambda: changepoint_model(0.5, 0.9, 0.2),
                           lambda: markov_model(0.1, 0.1)):
         for _ in range(10):
-            full = bayes_kelly_bettor(model_factory(), IdentityMeasure(),
-                                      collapse="never")
-            fast = bayes_kelly_bettor(model_factory(), IdentityMeasure(),
-                                      collapse="always")
+            full = BayesKellyBettor(model_factory(), IdentityMeasure())
+            fast = CollapsedBayesKellyBettor(model_factory(), IdentityMeasure())
             for n in range(1, 9):
                 hf = np.asarray(full.next_density().heights)
                 hc = np.asarray(fast.next_density().heights)

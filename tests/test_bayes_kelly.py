@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from ctmkit import bayes_kelly
 from ctmkit import (
+    AlternativeModel,
     BayesKellyBettor,
     CollapsedBayesKellyBettor,
     DistanceToMeanMeasure,
@@ -14,20 +16,35 @@ from ctmkit import (
     TableModel,
     bayes_kelly_bettor,
     changepoint_model,
-    collapse_binary_identity,
-    condition,
     extend,
     iid_model,
     markov_model,
-    predictive_density,
     tie_counts,
 )
 
 
-def _hset(step, mapping):
-    prefixes = np.asarray(list(mapping.keys()), dtype=np.int64).reshape(len(mapping), step)
-    weights = np.asarray(list(mapping.values()), dtype=float)
-    return HypothesisSet(step=step, prefixes=prefixes, weights=weights)
+def _weights(hset):
+    """Candidate prefix -> weight."""
+    return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}
+
+
+def _second_step(model, p1=0.5):
+    """Explicit bettor on ``model`` after settling step 1 at ``p1``: its
+    step-2 candidates are the model's length-2 prefixes."""
+    b = BayesKellyBettor(model, IdentityMeasure())
+    b.update(p1)
+    return b
+
+
+class _FixedRowModel(AlternativeModel):
+    """Binary model whose every conditional is the given row, unchecked."""
+
+    def __init__(self, row):
+        super().__init__(2)
+        self.row = np.asarray(row, dtype=float)
+
+    def conditional(self, prefix):
+        return self.row
 
 
 class TestHypothesisSet:
@@ -37,74 +54,75 @@ class TestHypothesisSet:
         assert len(root) == 1
         assert root.total_weight == 1.0
 
-    def test_alignment_validated(self):
-        with pytest.raises(ValueError):
-            HypothesisSet(step=2, prefixes=np.zeros((3, 1)), weights=np.ones(3))
-        with pytest.raises(ValueError):
-            HypothesisSet(step=1, prefixes=np.zeros((2, 1)), weights=np.ones(3))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            _hset(1, {(0,): -0.5, (1,): 1.5})
-
 
 class TestExtend:
     def test_deterministic_law_drops_zero_children(self):
         ext = extend(HypothesisSet.root(), iid_model([0.0, 1.0]))
-        assert ext.as_dict() == {(1,): 1.0}
+        assert _weights(ext) == {(1,): 1.0}
 
     def test_one_step_law(self):
         ext = extend(HypothesisSet.root(), iid_model([0.7, 0.3]))
-        assert ext.as_dict() == pytest.approx({(0,): 0.7, (1,): 0.3}, abs=1e-15)
+        assert _weights(ext) == pytest.approx({(0,): 0.7, (1,): 0.3}, abs=1e-15)
 
     def test_symmetric_markov_products(self):
         model = markov_model(0.1, 0.1)
         two = extend(extend(HypothesisSet.root(), model), model)
         want = {(0, 0): 0.45, (0, 1): 0.05, (1, 0): 0.05, (1, 1): 0.45}
-        assert two.as_dict() == pytest.approx(want, abs=1e-15)
+        assert _weights(two) == pytest.approx(want, abs=1e-15)
 
     def test_empty_set_rejected(self):
-        empty = HypothesisSet(step=1, prefixes=np.zeros((0, 1), dtype=np.int64),
+        empty = HypothesisSet(step=1, prefixes=np.zeros((0, 1), dtype=np.int16),
                               weights=np.zeros(0))
         with pytest.raises(ValueError):
             extend(empty, iid_model([0.5, 0.5]))
+
+    @pytest.mark.parametrize("row", [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 1.0],
+                                     [0.5, 0.25, 0.25]])
+    def test_bad_model_output_rejected(self, row):
+        # wrong width, negative, NaN or infinite conditionals
+        with pytest.raises(ValueError, match="conditional batch"):
+            extend(HypothesisSet.root(), _FixedRowModel(row))
+        with pytest.raises(ValueError, match="conditional batch"):
+            BayesKellyBettor(_FixedRowModel(row), IdentityMeasure()).next_density()
 
 
 class TestPredictiveDensity:
     def test_first_step_uniform_for_any_model(self):
         for model in (iid_model([0.5, 0.5]), changepoint_model(0.5, 0.9, 0.2),
                       TableModel.random(3, depth=2, rng=np.random.default_rng(0))):
-            d = predictive_density(extend(HypothesisSet.root(), model), IdentityMeasure())
+            d = BayesKellyBettor(model, IdentityMeasure()).next_density()
             assert d.heights == (1.0,)
 
     def test_fully_tied_candidate(self):
-        d = predictive_density(_hset(2, {(1, 1): 1.0}), IdentityMeasure())
+        # step-2 candidate set {(1, 1): 1.0}
+        d = _second_step(PointMassModel([1, 1])).next_density()
         assert d.heights == (1.0, 1.0)
 
     def test_untied_candidate(self):
-        d = predictive_density(_hset(2, {(1, 0): 1.0}), IdentityMeasure())
+        # step-2 candidate set {(1, 0): 1.0}
+        d = _second_step(PointMassModel([1, 0])).next_density()
         assert d.heights == (2.0, 0.0)
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ValueError, match="zero total mass"):
-            predictive_density(_hset(2, {(1, 0): 0.0}), IdentityMeasure())
 
 
 class TestCondition:
     def test_incompatible_candidate_removed(self):
-        hset = _hset(2, {(1, 0): 1.0})  # p_2 interval [0, 1/2]
-        out = condition(hset, 0.7, IdentityMeasure())
-        assert len(out) == 0
+        b = _second_step(PointMassModel([1, 0]))  # p_2 interval [0, 1/2]
+        b.update(0.7)
+        assert len(b.hypothesis_set) == 0
 
     def test_unit_tie_count_keeps_weight(self):
-        hset = _hset(2, {(1, 0): 0.6})
-        out = condition(hset, 0.2, IdentityMeasure())
-        assert out.as_dict() == {(1, 0): 0.6}
+        # step-2 set {(0, 1): 0.4, (1, 0): 0.6}; (0, 1) has p_2 interval [1/2, 1]
+        model = TableModel(2, [[0.4, 0.6], [0.0, 1.0], [1.0, 0.0]], depth=2)
+        b = _second_step(model)
+        b.update(0.2)
+        assert _weights(b.hypothesis_set) == {(1, 0): 0.6}
 
     def test_tie_rule_reweights(self):
-        hset = _hset(2, {(1, 1): 0.5, (1, 0): 0.5})  # k = 2 and k = 1
-        out = condition(hset, 0.3, IdentityMeasure())
-        got = out.as_dict()
+        # step-2 set {(1, 1): 0.5, (1, 0): 0.5}: k = 2 and k = 1
+        model = TableModel(2, [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]], depth=2)
+        b = _second_step(model)
+        b.update(0.3)
+        got = _weights(b.hypothesis_set)
         assert got[(1, 1)] == pytest.approx(0.25, abs=1e-15)
         assert got[(1, 0)] == pytest.approx(0.5, abs=1e-15)
 
@@ -137,12 +155,36 @@ class TestBayesKellyBettor:
         b = BayesKellyBettor(iid_model([0.5, 0.5]), IdentityMeasure())
         b.next_density()
         assert b.update(0.37) == 1.0
+        assert b.steps_taken == 1
         assert b.wealth == 1.0
+        assert b.log_wealth == 0.0
 
-    def test_zero_density_is_absorbing_with_unit_factors(self):
-        b = BayesKellyBettor(PointMassModel([1, 0], alphabet_size=2), IdentityMeasure())
-        b.next_density()
-        b.update(0.5)
+    def test_each_step_extends_through_the_module_function(self, monkeypatch):
+        # the benchmark's traced replay counts candidates by patching
+        # bayes_kelly.extend, so the explicit engine must call it from there
+        sizes = []
+
+        def recorded(hset, model, original=bayes_kelly.extend):
+            out = original(hset, model)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(bayes_kelly, "extend", recorded)
+        b = BayesKellyBettor(markov_model(0.1, 0.1), IdentityMeasure())
+        for p in (0.3, 0.8, 0.1):  # (1, 0) misses p_2 = 0.8
+            b.update(p)
+        assert sizes == [2, 4, 6]
+
+    @pytest.mark.parametrize("engine, model", [
+        (BayesKellyBettor, PointMassModel([1, 0], alphabet_size=2)),
+        (BayesKellyBettor, markov_model(1.0, 1.0, 1.0)),
+        (CollapsedBayesKellyBettor, markov_model(1.0, 1.0, 1.0)),
+    ], ids=["explicit-pointmass", "explicit-markov", "collapsed-markov"])
+    def test_zero_density_is_absorbing_with_unit_factors(self, engine, model):
+        # every model here starts 1, 0 with probability one
+        b = engine(model, IdentityMeasure())
+        assert b.next_density().heights == (1.0,)
+        assert b.update(0.3) == 1.0
         assert b.next_density().heights == (2.0, 0.0)
         assert b.update(0.8) == 0.0  # outside the candidate interval
         assert b.dead
@@ -167,85 +209,41 @@ class TestBayesKellyBettor:
                 ps.append(p)
                 b.update(p)
             want = _brute_posterior(model, measure, ps)
-            got = b.hypothesis_set.as_dict()
+            got = _weights(b.hypothesis_set)
             assert set(got) == set(want)
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, abs=1e-12)
 
-    def test_state_snapshot(self):
-        b = BayesKellyBettor(iid_model([0.5, 0.5]), IdentityMeasure())
-        b.next_density()
-        b.update(0.5)
-        state = b.state
-        assert state.step == 1
-        assert state.wealth == 1.0
-        assert state.log_wealth == 0.0
-        assert state.last_density is not None
-
 
 class TestCollapse:
-    @pytest.mark.parametrize("model_factory", [
-        lambda: changepoint_model(0.5, 0.9, 0.2),
-        lambda: markov_model(0.1, 0.1),
+    @pytest.mark.parametrize("model_factory, seed", [
+        (lambda: changepoint_model(0.5, 0.9, 0.2), 21),
+        (lambda: markov_model(0.1, 0.1), 21),
+        (lambda: changepoint_model(0.5, 0.9, 0.2), 22),
+        (lambda: markov_model(0.1, 0.1), 23),
     ])
-    def test_collapsed_matches_full_horizon_8(self, model_factory):
-        rng = np.random.default_rng(21)
+    def test_collapsed_matches_full_horizon_8(self, model_factory, seed):
+        rng = np.random.default_rng(seed)
         for _ in range(5):
             model = model_factory()
-            full = bayes_kelly_bettor(model, IdentityMeasure(), collapse="never")
-            fast = bayes_kelly_bettor(model, IdentityMeasure(), collapse="always")
-            assert isinstance(full, BayesKellyBettor)
-            assert isinstance(fast, CollapsedBayesKellyBettor)
+            full = BayesKellyBettor(model, IdentityMeasure())
+            fast = CollapsedBayesKellyBettor(model, IdentityMeasure())
             for n in range(1, 9):
                 hf = full.next_density().heights
                 hc = fast.next_density().heights
                 assert hf == pytest.approx(hc, abs=1e-12)
                 p = float(rng.random())
                 assert full.update(p) == pytest.approx(fast.update(p), abs=1e-12)
-
-    def test_midstream_collapse_continues_identically(self):
-        rng = np.random.default_rng(22)
-        model = changepoint_model(0.5, 0.9, 0.2)
-        full = BayesKellyBettor(model, IdentityMeasure())
-        for n in range(1, 5):
-            full.next_density()
-            full.update(float(rng.random()))
-        resumed = collapse_binary_identity(full)
-        for n in range(5, 9):
-            hf = full.next_density().heights
-            hr = resumed.next_density().heights
-            assert hf == pytest.approx(hr, abs=1e-12)
-            p = float(rng.random())
-            assert full.update(p) == pytest.approx(resumed.update(p), abs=1e-12)
-        assert full.log_wealth == pytest.approx(resumed.log_wealth, abs=1e-10)
-
-    def test_collapse_preserves_total_mass(self):
-        rng = np.random.default_rng(23)
-        model = markov_model(0.1, 0.1)
-        full = BayesKellyBettor(model, IdentityMeasure())
-        for n in range(1, 6):
-            full.next_density()
-            full.update(float(rng.random()))
-        collapsed = collapse_binary_identity(full)
-        full_mass = math.fsum(full.hypothesis_set.weights.tolist())
-        fast_mass = math.fsum(collapsed.collapsed_weights().values())
-        assert fast_mass == pytest.approx(full_mass, rel=1e-12)
+                # log wealth is log n! plus the log of the posterior mass
+                assert full.log_wealth == pytest.approx(fast.log_wealth, abs=1e-12)
 
     def test_refuses_non_identity_measure(self):
-        b = BayesKellyBettor(changepoint_model(0.5, 0.9, 0.2), DistanceToMeanMeasure())
         with pytest.raises(TypeError):
-            collapse_binary_identity(b)
+            CollapsedBayesKellyBettor(changepoint_model(0.5, 0.9, 0.2), DistanceToMeanMeasure())
 
     def test_refuses_non_binary_model(self):
-        b = BayesKellyBettor(iid_model([0.2, 0.3, 0.5]), IdentityMeasure())
         with pytest.raises(TypeError):
-            collapse_binary_identity(b)
-
-    def test_refuses_pending_bet(self):
-        b = BayesKellyBettor(markov_model(0.1, 0.1), IdentityMeasure())
-        b.next_density()
-        with pytest.raises(ValueError, match="already committed"):
-            collapse_binary_identity(b)
+            CollapsedBayesKellyBettor(iid_model([0.2, 0.3, 0.5]), IdentityMeasure())
 
     def test_factory_auto_selection(self):
         binary = changepoint_model(0.5, 0.9, 0.2)
@@ -259,10 +257,6 @@ class TestCollapse:
             bayes_kelly_bettor(iid_model([0.2, 0.3, 0.5]), IdentityMeasure()),
             BayesKellyBettor,
         )
-        with pytest.raises(ValueError, match="does not qualify"):
-            bayes_kelly_bettor(binary, DistanceToMeanMeasure(), collapse="always")
-        with pytest.raises(ValueError):
-            bayes_kelly_bettor(binary, IdentityMeasure(), collapse="sometimes")
 
 
 class TestDensityLaw:
@@ -272,7 +266,7 @@ class TestDensityLaw:
             m = int(rng.integers(2, 5))
             model = TableModel.random(m, depth=int(rng.integers(1, 4)), rng=rng)
             measure = DistanceToMeanMeasure() if rng.random() < 0.5 else IdentityMeasure()
-            b = bayes_kelly_bettor(model, measure, collapse="never")
+            b = BayesKellyBettor(model, measure)
             for n in range(1, int(rng.integers(2, 8))):
                 d = b.next_density()
                 assert math.fsum(d.heights) / d.n == pytest.approx(1.0, abs=1e-12)

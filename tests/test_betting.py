@@ -8,9 +8,8 @@ from ctmkit import (
     ConstantBettor,
     PiecewiseDensity,
     ShrunkAlternativeBettor,
-    wealth_update,
 )
-from ctmkit.betting import density_integral, linear_from_log
+from ctmkit.betting import linear_from_log
 
 
 class TestPiecewiseDensity:
@@ -20,7 +19,6 @@ class TestPiecewiseDensity:
     def test_integral_is_one(self, heights):
         d = PiecewiseDensity(heights)
         assert d.integral() == pytest.approx(1.0, abs=1e-15)
-        assert density_integral(d) == d.integral()
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="integrate"):
@@ -113,19 +111,6 @@ class TestLinearFromLog:
         assert linear_from_log(709.0) == math.exp(709.0)
         assert linear_from_log(709.2) == math.inf
         assert linear_from_log(math.inf) == math.inf
-
-
-class TestWealthUpdate:
-    def test_examples(self):
-        assert wealth_update(1.0, 1.0) == 1.0
-        assert wealth_update(0.5, 2.0) == 1.0
-        assert wealth_update(0.0, 7.0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            wealth_update(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            wealth_update(1.0, -0.5)
 
 
 class TestConstantBettor:

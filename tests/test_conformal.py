@@ -9,7 +9,6 @@ from ctmkit import (
     DistanceToMeanMeasure,
     IdentityMeasure,
     PointMassModel,
-    SequenceTauSource,
     UniformTauSource,
     bayes_kelly_bettor,
     bk_factor_sequences,
@@ -131,13 +130,6 @@ class TestTauSources:
     def test_constant_source_range_checked(self):
         with pytest.raises(ValueError):
             ConstantTauSource(1.5)
-
-    def test_sequence_source_exhaustion(self):
-        src = SequenceTauSource([0.1, 0.2])
-        assert src.draw() == 0.1
-        assert src.draw() == 0.2
-        with pytest.raises(ValueError, match="exhausted"):
-            src.draw()
 
 
 class TestCtmRun:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ctmkit import (
+    BayesKellyBettor,
+    CollapsedBayesKellyBettor,
     IdentityMeasure,
     bk_factor_sequences,
     cell_tree,
@@ -18,6 +20,7 @@ from ctmkit.harness import (
     ExperimentConfig,
     audit_trajectory,
     build_alternative,
+    build_bettor,
     build_measure,
     run_eprocess,
     run_optimality,
@@ -149,6 +152,23 @@ class TestSimulate:
         target = expected_log_wealth(cells, bk_factor_sequences(cells))
         gap = abs(report["mean_log_wealth"] - target)
         assert gap <= 3.0 * report["se_log_wealth"]
+
+    def test_full_bettor_matches_collapsed(self, tmp_path):
+        # bayes_kelly_full forces the explicit engine on an instance that
+        # bayes_kelly collapses (binary changepoint alternative, identity)
+        full = _cfg(tmp_path / "full", bettor="bayes_kelly_full", dgp="alt", reps=3)
+        fast = _cfg(tmp_path / "fast", dgp="alt", reps=3)
+        assert type(build_bettor(full)[0]) is BayesKellyBettor
+        assert type(build_bettor(fast)[0]) is CollapsedBayesKellyBettor
+        rows = []
+        for cfg in (full, fast):
+            assert run_simulate(cfg)["ok"] is True
+            lines = (Path(cfg.out) / "trajectory.csv").read_text().strip().split("\n")[1:]
+            rows.append([line.split(",") for line in lines])
+        assert len(rows[0]) == len(rows[1]) == 3 * 10
+        for a, b in zip(*rows):
+            assert a[:7] == b[:7]  # rep, n, z, tau, n_star, n_upper, p
+            assert float(a[7]) == pytest.approx(float(b[7]), abs=1e-12)
 
     def test_file_dgp(self, tmp_path):
         stream = tmp_path / "data.txt"

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from ctmkit import (
+    BayesKellyBettor,
     DistanceToMeanMeasure,
     IdentityMeasure,
     PointMassModel,
     TableModel,
-    bayes_kelly_bettor,
     bk_factor_sequences,
     cell_tree,
     cell_volume_closure,
@@ -23,6 +23,11 @@ from ctmkit import (
     pushforward_kl,
     sample_betting_family,
 )
+
+
+def _weights(hset):
+    """Candidate prefix -> weight."""
+    return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}
 
 
 class TestCellTree:
@@ -168,14 +173,14 @@ class TestEngineAgreement:
         measure = IdentityMeasure()
         cells = cell_tree(model, measure, 4, keep_weights=True)
         for cell in cells:
-            bettor = bayes_kelly_bettor(model, measure, collapse="never")
+            bettor = BayesKellyBettor(model, measure)
             for n, (idx, height) in enumerate(zip(cell.intervals, cell.bk_heights), 1):
                 mid = (idx + 0.5) / n
                 assert bettor.next_density().evaluate(mid) == pytest.approx(
                     height, abs=1e-12
                 )
                 bettor.update(mid)
-            engine = bettor.hypothesis_set.as_dict()
+            engine = _weights(bettor.hypothesis_set)
             assert set(engine) == set(cell.final_weights)
             for prefix, weight in cell.final_weights.items():
                 assert engine[prefix] == pytest.approx(weight, abs=1e-12)
