@@ -16,12 +16,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _scipy_stats
+import numpy.random  # every command's first act is `substream`: load it with the imports
 
 from . import oracle as _oracle
 from .bayes_kelly import BayesKellyBettor, CollapsedBayesKellyBettor, bayes_kelly_bettor
@@ -338,6 +337,8 @@ def _iter_payloads(cfg: ExperimentConfig):
         for rep in range(cfg.reps):
             yield _replicate_payload(cfg, rep)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
+
     chunk = max(1, math.ceil(cfg.reps / (cfg.jobs * 8)))
     chunks = [
         (cfg, list(range(start, min(start + chunk, cfg.reps))))
@@ -497,10 +498,48 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     return summary
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """Survival function of the Kolmogorov distribution, ported from cephes'
+    ``kolmogorov`` (as vendored by SciPy) with the same float expressions."""
+    if not x > 0:
+        return 1.0
+    if x <= 0.82:
+        w = math.sqrt(2 * math.pi) / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u = math.exp(logu8 / 8)
+        if u == 0:
+            return 1 - math.exp(logu8 / 8 + math.log(w))
+        u8 = math.exp(logu8)
+        return 1 - w * u * (1 + u8 * (1 + u8 * u8 * (1 + u8 * u8 * u8)))
+    v = math.exp(-2 * x * x)
+    v3 = math.pow(v, 3)
+    # v**5 is v3 * (v*v) as in cephes; (v3*v)*v differs in the last bit
+    return 2 * v * (1 - v3 * (1 - v3 * (v * v) * (1 - v3 * v3 * v)))
+
+
+def ks_uniform(p) -> tuple:
+    """Two-sided one-sample KS test of ``p`` against Uniform(0, 1), returning
+    ``(statistic, pvalue)`` bit for bit as ``scipy.stats.kstest(p, "uniform",
+    method="asymp")`` does: the same D+/D- expressions, then the clipped
+    Kolmogorov survival function at D*sqrt(N).  ``tests/test_harness.py::TestKsPort``
+    checks both against SciPy with ``==``."""
+    x = np.sort(np.asarray(p, dtype=float))
+    n = x.size
+    d_plus = float((np.arange(1.0, n + 1) / n - x).max())
+    d_minus = float((x - np.arange(0.0, n) / n).max())
+    d = d_plus if d_plus > d_minus else d_minus
+    return d, min(max(_kolmogorov_sf(d * math.sqrt(n)), 0.0), 1.0)
+
+
 def run_validate(cfg: ExperimentConfig) -> dict:
     """Check p-value uniformity/independence and the unit-mean wealth property
     under the configured null; write validity.json."""
     cfg.validate()
+    if cfg.reps < 2:
+        raise ConfigError(
+            "reps: the wealth check needs at least 2 replicates for a standard "
+            f"error; got {cfg.reps}"
+        )
     if cfg.reps * cfg.horizon < 1000:
         raise ConfigError(
             "reps: the validity suite needs reps*horizon >= 1000 pooled p-values "
@@ -520,7 +559,7 @@ def run_validate(cfg: ExperimentConfig) -> dict:
             lag_second.append(p[1:])
         final_wealth.append(linear_from_log(float(payload["log_wealth"][-1])))
     pooled_arr = np.concatenate(pooled)
-    ks = _scipy_stats.kstest(pooled_arr, "uniform", method="asymp")
+    ks_stat, ks_p = ks_uniform(pooled_arr)
     if lag_first:
         a = np.concatenate(lag_first)
         b = np.concatenate(lag_second)
@@ -529,8 +568,8 @@ def run_validate(cfg: ExperimentConfig) -> dict:
         lag1 = 0.0
     wealth_arr = np.asarray(final_wealth)
     mean_w = float(wealth_arr.mean())
-    se_w = float(wealth_arr.std(ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else math.inf
-    ks_ok = float(ks.pvalue) > KS_PVALUE_THRESHOLD
+    se_w = float(wealth_arr.std(ddof=1) / math.sqrt(cfg.reps))
+    ks_ok = ks_p > KS_PVALUE_THRESHOLD
     lag_ok = abs(lag1) < LAG1_THRESHOLD
     wealth_ok = abs(mean_w - 1.0) <= WEALTH_SE_MULTIPLE * se_w
     report = {
@@ -538,8 +577,8 @@ def run_validate(cfg: ExperimentConfig) -> dict:
         "replicates": cfg.reps,
         "horizon": cfg.horizon,
         "pooled_pvalues": int(pooled_arr.size),
-        "ks_statistic": float(ks.statistic),
-        "ks_pvalue": float(ks.pvalue),
+        "ks_statistic": ks_stat,
+        "ks_pvalue": ks_p,
         "ks_threshold": KS_PVALUE_THRESHOLD,
         "ks_ok": bool(ks_ok),
         "lag1_correlation": lag1,

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import ctmkit
 from ctmkit.cli import main
 from ctmkit.harness import CSV_HEADER
 
@@ -151,3 +155,55 @@ class TestOtherCommands:
         out_dir = tmp_path / "ep"
         for name in ("eprocess_trajectory.csv", "evar_table.csv", "eprocess.json"):
             assert (out_dir / name).exists()
+
+
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's ctmkit."""
+    src = str(Path(ctmkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# The bench's mc_validate workload at seed 1.
+_MC_VALIDATE = ["validate", "--horizon", "50", "--reps", "600", "--null", "bernoulli:0.3",
+                "--alt", "changepoint:0.5,0.9,0.2", "--measure", "identity",
+                "--bettor", "bayes_kelly", "--seed", "1"]
+
+_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not refused")
+from ctmkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestStartup:
+    def test_cli_import_is_lean(self):
+        result = _run_python(
+            "import sys, ctmkit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_validate_runs_without_scipy(self, tmp_path):
+        blocked = _run_python(_WITHOUT_SCIPY, *_MC_VALIDATE, "--out", str(tmp_path / "blocked"))
+        assert blocked.returncode == 0, blocked.stderr
+        assert main([*_MC_VALIDATE, "--out", str(tmp_path / "free")]) == 0
+        assert ((tmp_path / "blocked" / "validity.json").read_bytes()
+                == (tmp_path / "free" / "validity.json").read_bytes())

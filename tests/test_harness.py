@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from ctmkit import (
     BayesKellyBettor,
@@ -16,12 +17,14 @@ from ctmkit import (
 )
 from ctmkit.harness import (
     CSV_HEADER,
+    _kolmogorov_sf,
     ConfigError,
     ExperimentConfig,
     audit_trajectory,
     build_alternative,
     build_bettor,
     build_measure,
+    ks_uniform,
     run_eprocess,
     run_optimality,
     run_simulate,
@@ -235,6 +238,52 @@ class TestValidate:
         cfg = _cfg(tmp_path, reps=30, horizon=40, dgp="alt")
         with pytest.raises(ConfigError, match="dgp"):
             run_validate(cfg)
+
+    def test_refuses_single_replicate(self, tmp_path):
+        # one replicate has no standard error, so the wealth check would pass
+        # against an infinite tolerance
+        cfg = _cfg(tmp_path, reps=1, horizon=1000, bettor="constant", seed=3)
+        with pytest.raises(ConfigError, match="reps"):
+            run_validate(cfg)
+        assert not (Path(cfg.out) / "validity.json").exists()
+
+
+class TestKsPort:
+    """The numpy port behind `validate`'s KS check equals SciPy bit for bit."""
+
+    def test_kolmogorov_matches_scipy(self):
+        rng = np.random.default_rng(20240)
+        grid = np.concatenate([
+            np.linspace(0.80, 0.84, 400_001),  # both sides of the 0.82 branch point
+            np.geomspace(1e-5, 0.1, 10_001),
+            [0.0, 0.82, np.nextafter(0.82, 0.0), np.nextafter(0.82, 1.0)],
+            [10.0, 20.0, 28.0, 40.0, 1e10, np.inf],
+            rng.uniform(0.0, 6.0, 100_000),
+        ])
+        expected = special.kolmogorov(grid)
+        got = np.array([_kolmogorov_sf(float(x)) for x in grid])
+        mismatch = np.flatnonzero(got != expected)
+        assert mismatch.size == 0, grid[mismatch[:5]]
+
+    def test_kstest_matches_scipy(self):
+        rng = np.random.default_rng(9)
+        sizes = [1000, 60_000, *np.exp(rng.uniform(np.log(1000), np.log(60_000), 298))]
+        branches = set()
+        for i, size in enumerate(sizes):
+            n = int(size)
+            kind = i % 3
+            if kind == 0:
+                p = rng.random(n)
+            elif kind == 1:  # tied, discrete p-values
+                m = int(rng.integers(2, 50))
+                p = rng.integers(1, m + 1, n) / m
+            else:  # mildly non-uniform, for small p-values
+                p = rng.beta(1.0, 1.0 + 0.05 * rng.random(), n)
+            ref = stats.kstest(p, "uniform", method="asymp")
+            statistic, pvalue = ks_uniform(p)
+            assert statistic == float(ref.statistic) and pvalue == float(ref.pvalue), (i, n)
+            branches.add(statistic * np.sqrt(n) <= 0.82)
+        assert branches == {True, False}
 
 
 class TestOptimality:
