@@ -25,12 +25,13 @@ explicitly and works for any finite alphabet and conformity measure at cost
 ``alphabet**step`` (desk scale: up to about a million candidates); each step
 asks the model for all candidates' conditionals in one ``conditional_batch``
 call, which a hidden-state model answers with one batched forward step per
-prefix depth.  ``CollapsedBayesKellyBettor`` handles the binary-alphabet
-identity-measure case at polynomial cost by collapsing candidates onto
-(ones count, hidden state), which is all that identity ranks and a
-hidden-state alternative can see of a prefix.  ``bayes_kelly_bettor`` picks
-the collapsed one whenever the instance allows it; the two emit the same
-densities up to float reassociation.
+prefix depth.  ``CollapsedBayesKellyBettor`` takes a binary
+``HiddenStateModel`` with the identity measure, and nothing else, at
+polynomial cost by collapsing candidates onto (ones count, hidden state),
+which is all that identity ranks and a hidden-state alternative can see of
+a prefix.  ``bayes_kelly_bettor`` picks the collapsed one whenever its
+constructor accepts the instance; the two emit the same densities up to
+float reassociation.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .betting import BettingMartingale, PiecewiseDensity
 from .conformal import ConformityMeasure, IdentityMeasure
-from .models import AlternativeModel, BinaryHMM
+from .models import AlternativeModel, HiddenStateModel
 
 __all__ = [
     "HypothesisSet",
@@ -207,17 +208,17 @@ class BayesKellyBettor(_BayesKelly):
 class CollapsedBayesKellyBettor(_BayesKelly):
     """Bayes-Kelly bettor collapsed onto sufficient statistics.
 
-    Requires a binary alphabet with the identity measure and a hidden-state
-    alternative.  Candidates sharing (ones count, hidden state) are
-    interchangeable from here on: identity ranks depend on a window only
-    through its ones count and newest symbol, and the alternative's future
-    conditionals depend only on its hidden state.  State size is O(step),
+    Requires a binary ``HiddenStateModel`` and the identity measure, and
+    raises TypeError otherwise.  Candidates sharing (ones count, hidden
+    state) are interchangeable from here on: identity ranks depend on a
+    window only through its ones count and newest symbol, and the
+    alternative's future conditionals depend only on its hidden state.  State size is O(step),
     against 2**step for the explicit engine; the two produce identical bets.
     """
 
-    def __init__(self, model: BinaryHMM, measure: ConformityMeasure):
-        if not isinstance(model, BinaryHMM):
-            raise TypeError("collapsed Bayes-Kelly needs a hidden-state binary alternative")
+    def __init__(self, model: HiddenStateModel, measure: ConformityMeasure):
+        if not (isinstance(model, HiddenStateModel) and model.alphabet_size == 2):
+            raise TypeError("collapsed Bayes-Kelly needs a binary hidden-state alternative")
         if not isinstance(measure, IdentityMeasure):
             raise TypeError("collapsed Bayes-Kelly is only valid for the identity measure")
         super().__init__(model, measure)
@@ -253,8 +254,9 @@ class CollapsedBayesKellyBettor(_BayesKelly):
 
 
 def bayes_kelly_bettor(model: AlternativeModel, measure: ConformityMeasure) -> BettingMartingale:
-    """The collapsed bettor when the instance allows it (a hidden-state
-    binary alternative and the identity measure), else the explicit one."""
-    if isinstance(model, BinaryHMM) and isinstance(measure, IdentityMeasure):
+    """The collapsed bettor when its constructor accepts the instance, else
+    the explicit one."""
+    try:
         return CollapsedBayesKellyBettor(model, measure)
-    return BayesKellyBettor(model, measure)
+    except TypeError:
+        return BayesKellyBettor(model, measure)

@@ -144,9 +144,12 @@ class ExperimentConfig:
 
 def _floats(text: str, field: str) -> list:
     try:
-        return [float(t) for t in text.split(",") if t != ""]
+        values = [float(t) for t in text.split(",") if t != ""]
     except ValueError as err:
         raise ConfigError(f"{field}: cannot parse numbers from {text!r}") from err
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{field}: numbers must be finite, got {text!r}")
+    return values
 
 
 def build_measure(spec: str):
@@ -287,12 +290,13 @@ def _tau_source(cfg: ExperimentConfig, rng: np.random.Generator):
     return ConstantTauSource(value)
 
 
-def _replicate_data(cfg: ExperimentConfig, rng: np.random.Generator):
+def _replicate_data(cfg: ExperimentConfig, rng: np.random.Generator, model):
+    """One replicate's observations; ``--dgp alt`` samples the alternative
+    ``model`` built from ``cfg.alt``."""
     if cfg.dgp == "null":
         sampler, _ = _parse_null_spec(cfg.null)
         return np.asarray(sampler(rng, cfg.horizon))
     if cfg.dgp == "alt":
-        model = build_alternative(cfg.alt)
         return model.sample(cfg.horizon, rng)
     path = cfg.dgp.partition(":")[2]
     return np.asarray(read_observation_stream(path))
@@ -301,8 +305,8 @@ def _replicate_data(cfg: ExperimentConfig, rng: np.random.Generator):
 def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
     data_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 0)
     tau_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 1)
-    data = _replicate_data(cfg, data_rng)
     bettor, model, measure = build_bettor(cfg)
+    data = _replicate_data(cfg, data_rng, model)
     if isinstance(bettor, (BayesKellyBettor, CollapsedBayesKellyBettor)):
         if not np.issubdtype(np.asarray(data).dtype, np.integer):
             raise ValueError(
@@ -653,8 +657,7 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     if model.alphabet_size != 2:
         raise ConfigError("alt: the e-process path needs a binary alternative")
     data_rng = substream(cfg.seed, _STREAM_REPLICATE, 0, 0)
-    data = _replicate_data(cfg, data_rng)
-    data = np.asarray(data)
+    data = np.asarray(_replicate_data(cfg, data_rng, model))
     if not np.issubdtype(data.dtype, np.integer):
         raise ConfigError("null: the e-process path needs binary integer data")
     if data.size < cfg.horizon:

@@ -21,12 +21,13 @@ one ``advance_batch`` per depth, so a model that steps many states in one
 array operation serves the explicit betting engine's candidates in O(depth)
 calls rather than one call per tree edge.
 
-The two shipped binary alternatives (single changepoint, first-order Markov)
-are expressed as tiny hidden-state chains whose forward state is the
-normalised hidden-state posterior (the forward algorithm), which both makes
-each step's cost independent of the prefix length and makes them eligible
-for the collapsed betting engine.  Their batched step is the same forward
-algorithm on a ``(rows, H)`` array of posteriors.
+The changepoint, first-order Markov and iid alternatives are instances of
+one :class:`HiddenStateModel`, a tiny hidden-state chain over any alphabet
+whose forward state is the normalised hidden-state posterior (the forward
+algorithm).  That makes each step's cost independent of the prefix length,
+and makes the binary instances eligible for the collapsed betting engine.
+Its batched step is the same forward algorithm on a ``(rows, H)`` array of
+posteriors.
 """
 
 from __future__ import annotations
@@ -40,6 +41,19 @@ from typing import Sequence
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
+
+
+def _check_laws(what: str, laws: np.ndarray) -> None:
+    """Raise ValueError unless every row of ``laws`` is a probability law.
+
+    Every comparison with NaN is False, so a NaN entry fails the check.
+    """
+    ok = (laws >= 0.0).all(axis=1) & (np.abs(laws.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"{what} row {i} must be nonnegative and sum to 1, got {laws[i].tolist()}"
+        )
 
 
 def _validate_prob(name: str, value: float) -> float:
@@ -161,43 +175,35 @@ class AlternativeModel(ABC):
         return out
 
 
-class BinaryHMM(AlternativeModel):
-    """Binary alternative driven by a small hidden state.
+class HiddenStateModel(AlternativeModel):
+    """Alternative driven by a small hidden state, over any alphabet.
 
     ``transition[h, z, h2]`` is the joint probability of emitting symbol ``z``
     and moving to hidden state ``h2`` when the chain sits in hidden state
-    ``h``; each ``transition[h]`` sums to one.  ``initial`` is the hidden
-    state law before the first emission.  This is the structural requirement
-    for the collapsed betting engine: the model sees a prefix only through
-    its hidden-state posterior.
+    ``h``; each ``transition[h]`` sums to one, and the alphabet size is its
+    middle axis.  ``initial`` is the hidden state law before the first
+    emission.  The model sees a prefix only through its hidden-state
+    posterior, which is what the collapsed betting engine needs of a binary
+    alternative.
     """
 
     def __init__(self, initial, transition, description: str = ""):
-        super().__init__(2)
         initial = np.asarray(initial, dtype=float)
         transition = np.asarray(transition, dtype=float)
         if initial.ndim != 1:
             raise ValueError("initial hidden-state law must be a vector")
         H = initial.size
-        if transition.shape != (H, 2, H):
+        if transition.ndim != 3 or transition.shape[::2] != (H, H):
             raise ValueError(
-                f"transition tensor must have shape ({H}, 2, {H}), got {transition.shape}"
+                f"transition tensor must have shape ({H}, m, {H}), got {transition.shape}"
             )
-        if np.any(initial < 0.0) or np.any(transition < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(initial.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"initial law must sum to 1, got {initial.sum()!r}")
-        row_sums = transition.reshape(H, -1).sum(axis=1)
-        for h, s in enumerate(row_sums):
-            if abs(float(s) - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"transition row {h} must sum to 1, got {float(s)!r}")
+        super().__init__(transition.shape[1])
+        _check_laws("initial hidden-state law", initial[None, :])
+        _check_laws("transition", transition.reshape(H, -1))
         self.initial = initial
         self.transition = transition
-        self.description = description or "binary hidden-state model"
-
-    @property
-    def hidden_size(self) -> int:
-        return int(self.initial.size)
+        self._emit = transition.sum(axis=2)  # _emit[h, z]: P(emit z | hidden state h)
+        self.description = description or "hidden-state model"
 
     def start(self) -> np.ndarray:
         return self.initial
@@ -210,40 +216,39 @@ class BinaryHMM(AlternativeModel):
         return state / total
 
     def probs(self, state: np.ndarray) -> np.ndarray:
-        p1 = float(state @ self.transition[:, 1, :].sum(axis=1))
-        p0 = float(state @ self.transition[:, 0, :].sum(axis=1))
-        return np.array([p0, p1]) / (p0 + p1)
+        pp = state @ self._emit
+        return pp / pp.sum()
 
     # The batched step reproduces advance/probs row for row, bit for bit:
-    # S @ T[:, z, :] rounds each row as state @ T[:, z, :] does, and
-    # S.sum(axis=1) as state.sum() does (einsum or sums over h do not).
+    # each (symbol, .) block of S @ T.reshape(H, m * H) rounds as
+    # state @ T[:, z, :] does, and S.sum(axis=1) as state.sum() does (einsum
+    # or sums over h do not).
     def advance_batch(self, states, symbols: np.ndarray) -> np.ndarray:
         S = np.asarray(states, dtype=float)
-        T = self.transition
-        S = np.where((np.asarray(symbols) == 1)[:, None], S @ T[:, 1, :], S @ T[:, 0, :])
+        H = self.initial.size
+        step = (S @ self.transition.reshape(H, -1)).reshape(len(S), -1, H)
+        S = step[np.arange(len(S)), np.asarray(symbols)]
         total = S.sum(axis=1)
         if (total <= 0.0).any():
             raise ValueError("prefix has probability zero under this model")
         return S / total[:, None]
 
     def probs_batch(self, states) -> np.ndarray:
-        T = self.transition
-        R = np.stack([T[:, 0, :].sum(axis=1), T[:, 1, :].sum(axis=1)], axis=1)
-        pp = np.asarray(states, dtype=float) @ R
-        return pp / (pp[:, 0] + pp[:, 1])[:, None]
+        pp = np.asarray(states, dtype=float) @ self._emit
+        return pp / pp.sum(axis=1)[:, None]
 
     def conditional(self, prefix) -> np.ndarray:
         return self.probs(self.state_after(prefix))
 
     def __repr__(self):
-        return f"BinaryHMM({self.description})"
+        return f"HiddenStateModel({self.description})"
 
 
 def _bern(z: int, theta: float) -> float:
     return theta if z == 1 else 1.0 - theta
 
 
-def changepoint_model(pi0: float, pi1: float, rho: float) -> BinaryHMM:
+def changepoint_model(pi0: float, pi1: float, rho: float) -> HiddenStateModel:
     """Single-changepoint binary alternative.
 
     Symbols are Bernoulli(pi0) before an unobserved change time and
@@ -259,10 +264,10 @@ def changepoint_model(pi0: float, pi1: float, rho: float) -> BinaryHMM:
         T[0, z, 0] = (1.0 - rho) * _bern(z, pi0)
         T[0, z, 1] = rho * _bern(z, pi1)
         T[1, z, 1] = _bern(z, pi1)
-    return BinaryHMM([1.0, 0.0], T, f"changepoint(pi0={pi0}, pi1={pi1}, rho={rho})")
+    return HiddenStateModel([1.0, 0.0], T, f"changepoint(pi0={pi0}, pi1={pi1}, rho={rho})")
 
 
-def markov_model(p01: float, p10: float, init1: float = 0.5) -> BinaryHMM:
+def markov_model(p01: float, p10: float, init1: float = 0.5) -> HiddenStateModel:
     """First-order binary Markov chain.
 
     ``p01`` is the probability of a 1 after a 0, ``p10`` of a 0 after a 1;
@@ -279,40 +284,13 @@ def markov_model(p01: float, p10: float, init1: float = 0.5) -> BinaryHMM:
     T[0, 0, 0] = 1.0 - p01
     T[1, 0, 0] = p10
     T[1, 1, 1] = 1.0 - p10
-    return BinaryHMM([0.0, 0.0, 1.0], T, f"markov(p01={p01}, p10={p10}, init1={init1})")
+    return HiddenStateModel([0.0, 0.0, 1.0], T, f"markov(p01={p01}, p10={p10}, init1={init1})")
 
 
-class IIDModel(AlternativeModel):
-    """IID categorical law over an alphabet of any size."""
-
-    def __init__(self, probs):
-        probs = np.asarray(probs, dtype=float)
-        super().__init__(probs.size)
-        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities must be nonnegative and sum to 1, got {probs}")
-        self._probs = probs
-
-    def conditional(self, prefix) -> np.ndarray:
-        return self._probs.copy()
-
-    def conditional_batch(self, prefixes) -> np.ndarray:
-        rows = np.asarray(prefixes)
-        return np.broadcast_to(self._probs, (rows.shape[0], self.alphabet_size)).copy()
-
-
-def iid_model(probs) -> AlternativeModel:
-    """IID alternative; binary instances come back in hidden-state form so
-    they qualify for the collapsed engine."""
+def iid_model(probs) -> HiddenStateModel:
+    """IID categorical alternative: the one-state hidden-state model."""
     probs = np.asarray(probs, dtype=float)
-    if probs.size == 2:
-        theta = _validate_prob("success probability", probs[1])
-        if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {probs}")
-        T = np.zeros((1, 2, 1))
-        T[0, 0, 0] = 1.0 - theta
-        T[0, 1, 0] = theta
-        return BinaryHMM([1.0], T, f"iid(theta={theta})")
-    return IIDModel(probs)
+    return HiddenStateModel([1.0], probs[None, :, None], f"iid(probs={probs.tolist()})")
 
 
 class PointMassModel(AlternativeModel):
@@ -362,12 +340,7 @@ class TableModel(AlternativeModel):
             raise ValueError(
                 f"expected {int(offsets[depth])} rows of width {m}, got {rows.shape}"
             )
-        if np.any(rows < 0.0):
-            raise ValueError("conditional probabilities must be nonnegative")
-        sums = rows.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
-        if bad.size:
-            raise ValueError(f"conditional row {int(bad[0])} sums to {float(sums[bad[0]])!r}")
+        _check_laws("conditional", rows)
         self.depth = depth
         self._rows = rows
         self._offsets = offsets
@@ -419,7 +392,13 @@ class TableModel(AlternativeModel):
         parsed = {}
         for key, probs in conditionals.items():
             prefix = tuple(int(t) for t in key.split(",")) if key else ()
-            parsed[prefix] = np.asarray(probs, dtype=float)
+            probs = np.asarray(probs, dtype=float)
+            if probs.shape != (m,):
+                raise ValueError(
+                    f"conditionals[{key!r}] must be a list of {m} probabilities, "
+                    f"got shape {probs.shape}"
+                )
+            parsed[prefix] = probs
         depth = max((len(p) for p in parsed), default=0) + 1
         offsets = [0]
         for k in range(depth):

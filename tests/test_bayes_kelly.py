@@ -10,6 +10,7 @@ from ctmkit import (
     BayesKellyBettor,
     CollapsedBayesKellyBettor,
     DistanceToMeanMeasure,
+    HiddenStateModel,
     HypothesisSet,
     IdentityMeasure,
     PointMassModel,
@@ -21,6 +22,14 @@ from ctmkit import (
     markov_model,
     tie_counts,
 )
+
+
+def _ternary_hidden_state():
+    """Two hidden states over three symbols: a sticky regime switch."""
+    T = np.empty((2, 3, 2))
+    T[0] = np.outer([0.6, 0.3, 0.1], [0.9, 0.1])
+    T[1] = np.outer([0.1, 0.2, 0.7], [0.2, 0.8])
+    return HiddenStateModel([0.5, 0.5], T)
 
 
 def _weights(hset):
@@ -244,6 +253,8 @@ class TestCollapse:
     def test_refuses_non_binary_model(self):
         with pytest.raises(TypeError):
             CollapsedBayesKellyBettor(iid_model([0.2, 0.3, 0.5]), IdentityMeasure())
+        with pytest.raises(TypeError):
+            CollapsedBayesKellyBettor(_ternary_hidden_state(), IdentityMeasure())
 
     def test_factory_auto_selection(self):
         binary = changepoint_model(0.5, 0.9, 0.2)
@@ -253,10 +264,8 @@ class TestCollapse:
         assert isinstance(
             bayes_kelly_bettor(binary, DistanceToMeanMeasure()), BayesKellyBettor
         )
-        assert isinstance(
-            bayes_kelly_bettor(iid_model([0.2, 0.3, 0.5]), IdentityMeasure()),
-            BayesKellyBettor,
-        )
+        for ternary in (iid_model([0.2, 0.3, 0.5]), _ternary_hidden_state()):
+            assert isinstance(bayes_kelly_bettor(ternary, IdentityMeasure()), BayesKellyBettor)
 
 
 class TestDensityLaw:

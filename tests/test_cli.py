@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +97,13 @@ class TestExitCodes:
         )
         assert code == 1
         assert "density" in capsys.readouterr().err
+
+    def test_non_finite_law_is_one(self, tmp_path, capsys):
+        for flags in ({"--alt": "iid:nan,0.5", "--dgp": "alt"},
+                      {"--alt": "iid:0.2,0.3,0.5", "--null": "categorical:nan,0.5,0.5"}):
+            code = main(["simulate", *_simulate_args(tmp_path / "run", **flags)])
+            assert code == 1
+            assert "finite" in capsys.readouterr().err
 
     def test_usage_error_is_one(self, capsys):
         assert main(["simulate", "--seed", "notanint"]) == 1
@@ -207,3 +216,12 @@ class TestStartup:
         assert main([*_MC_VALIDATE, "--out", str(tmp_path / "free")]) == 0
         assert ((tmp_path / "blocked" / "validity.json").read_bytes()
                 == (tmp_path / "free" / "validity.json").read_bytes())
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        modules = [ctmkit] + [importlib.import_module(f"ctmkit.{info.name}")
+                              for info in pkgutil.iter_modules(ctmkit.__path__)]
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.{name}"

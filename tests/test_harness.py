@@ -15,8 +15,10 @@ from ctmkit import (
     changepoint_model,
     expected_log_wealth,
 )
+from ctmkit import harness
 from ctmkit.harness import (
     CSV_HEADER,
+    _parse_null_spec,
     _kolmogorov_sf,
     ConfigError,
     ExperimentConfig,
@@ -107,6 +109,21 @@ class TestFormatStrings:
             with pytest.raises(ConfigError):
                 build_alternative(bad)
 
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        for spec in ("iid:nan,0.5", "iid:inf", "changepoint:0.5,nan,0.2", "markov:0.1,0.1,-inf"):
+            with pytest.raises(ConfigError, match="alt: numbers must be finite"):
+                build_alternative(spec)
+        for spec in ("categorical:nan,0.5,0.5", "bernoulli:nan", "normal:nan,1"):
+            with pytest.raises(ConfigError, match="null: numbers must be finite"):
+                _parse_null_spec(spec)
+        with pytest.raises(ConfigError, match="null"):
+            _cfg(tmp_path, null="categorical:nan,0.5,0.5")
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"alphabet_size": 2, "conditionals": {"": [math.nan, 0.5]}}),
+                         encoding="utf-8")
+        with pytest.raises(ConfigError, match="alt"):
+            build_alternative(f"table:{table}")
+
 
 class TestSubstreams:
     def test_deterministic_and_keyed(self):
@@ -172,6 +189,20 @@ class TestSimulate:
         for a, b in zip(*rows):
             assert a[:7] == b[:7]  # rep, n, z, tau, n_star, n_upper, p
             assert float(a[7]) == pytest.approx(float(b[7]), abs=1e-12)
+
+    def test_alternative_built_once_per_replicate(self, tmp_path, monkeypatch):
+        built = []
+        build = harness.build_alternative
+
+        def counted(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(harness, "build_alternative", counted)
+        cfg = _cfg(tmp_path, dgp="alt", reps=3, horizon=5)
+        built.clear()
+        assert run_simulate(cfg)["ok"] is True
+        assert len(built) == 1 + 3  # the run's config check, then one per replicate
 
     def test_file_dgp(self, tmp_path):
         stream = tmp_path / "data.txt"

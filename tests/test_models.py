@@ -7,9 +7,8 @@ import pytest
 from ctmkit import (
     AlternativeModel,
     BayesKellyBettor,
-    BinaryHMM,
     DistanceToMeanMeasure,
-    IIDModel,
+    HiddenStateModel,
     PointMassModel,
     TableModel,
     UniformTauSource,
@@ -77,17 +76,35 @@ class TestMarkov:
             markov_model(0.1, 1.2)
 
 
-class TestBinaryHMM:
+class TestHiddenStateModel:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            BinaryHMM([1.0], np.ones((2, 2, 2)) / 4)
+            HiddenStateModel([1.0], np.ones((2, 2, 2)) / 4)
         with pytest.raises(ValueError):
-            BinaryHMM([0.5, 0.5], np.ones((2, 2)))
+            HiddenStateModel([0.5, 0.5], np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            HiddenStateModel([1.0], np.ones((1, 3, 2)) / 6)
+        with pytest.raises(ValueError):
+            HiddenStateModel([0.5, 0.5], np.ones((2, 6)) / 6)
+        with pytest.raises(ValueError, match="alphabet size"):
+            HiddenStateModel([1.0], np.ones((1, 1, 1)))
+
+    def test_alphabet_read_from_transition(self):
+        m = HiddenStateModel([0.5, 0.5], np.ones((2, 3, 2)) / 6)
+        assert m.alphabet_size == 3
+        assert _conditional_law(m, [2, 0]) == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_normalization_validation(self):
         bad = np.ones((1, 2, 1))
         with pytest.raises(ValueError):
-            BinaryHMM([1.0], bad)
+            HiddenStateModel([1.0], bad)
+        # every comparison with NaN is False: NaN laws must fail, not pass
+        T = np.full((2, 2, 2), 0.25)
+        with pytest.raises(ValueError, match="initial"):
+            HiddenStateModel([math.nan, 1.0], T)
+        T[1, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="transition row 1"):
+            HiddenStateModel([0.5, 0.5], T)
 
     def test_impossible_prefix_rejected(self):
         m = changepoint_model(1.0, 1.0, 0.0)  # always emits 1
@@ -119,16 +136,17 @@ class TestBinaryHMM:
             assert np.allclose(got, m.conditional(row), atol=1e-15)
 
 
-class TestIIDModels:
+class TestIid:
     def test_binary_factory_collapse_eligible(self):
         m = iid_model([0.4, 0.6])
-        assert isinstance(m, BinaryHMM)
-        assert m.hidden_size == 1
+        assert isinstance(m, HiddenStateModel)
+        assert m.initial.size == 1
         assert _conditional_law(m, [0, 1]) == pytest.approx([0.4, 0.6], abs=1e-15)
 
     def test_ternary_factory(self):
         m = iid_model([0.2, 0.3, 0.5])
-        assert isinstance(m, IIDModel)
+        assert isinstance(m, HiddenStateModel)
+        assert m.initial.size == 1
         assert m.alphabet_size == 3
         assert _conditional_law(m, [2, 0]) == pytest.approx([0.2, 0.3, 0.5], abs=1e-15)
 
@@ -137,7 +155,10 @@ class TestIIDModels:
             iid_model([0.5, 0.6])
         with pytest.raises(ValueError):
             iid_model([1.0])
-
+        with pytest.raises(ValueError):
+            iid_model([math.nan, 0.5])
+        with pytest.raises(ValueError):
+            iid_model([math.inf, 0.5, 0.5])
 
 class TestPointMass:
     def test_one_hot_conditionals(self):
@@ -200,10 +221,19 @@ class TestTableModel:
         assert _conditional_law(m, [1, 0]) == [0.5, 0.5]
 
     def test_from_json_rejects_bad_law(self, tmp_path):
-        payload = {"alphabet_size": 2, "conditionals": {"": [0.7, 0.7]}}
+        for law in ([0.7, 0.7], [math.nan, 0.5]):  # json writes NaN as NaN
+            payload = {"alphabet_size": 2, "conditionals": {"": law}}
+            path = tmp_path / "table.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(ValueError, match="conditional row 0"):
+                TableModel.from_json(path)
+
+    @pytest.mark.parametrize("row", [0.5, [1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]])
+    def test_from_json_rejects_malformed_row(self, tmp_path, row):
+        payload = {"alphabet_size": 2, "conditionals": {"": [0.5, 0.5], "1": row}}
         path = tmp_path / "table.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"conditionals\['1'\]"):
             TableModel.from_json(path)
 
 
@@ -217,7 +247,7 @@ class TestTableModel:
 
 def _ref_conditional(model, prefix):
     prefix = tuple(int(z) for z in prefix)
-    if not isinstance(model, BinaryHMM):
+    if not isinstance(model, HiddenStateModel):
         return model.conditional(prefix)
     state = model.initial
     for z in prefix:
@@ -226,9 +256,12 @@ def _ref_conditional(model, prefix):
         if total <= 0.0:
             raise ValueError("prefix has probability zero under this model")
         state = state / total
-    p1 = float(state @ model.transition[:, 1, :].sum(axis=1))
-    p0 = float(state @ model.transition[:, 0, :].sum(axis=1))
-    return np.array([p0, p1]) / (p0 + p1)
+    if model.alphabet_size == 2:
+        p1 = float(state @ model.transition[:, 1, :].sum(axis=1))
+        p0 = float(state @ model.transition[:, 0, :].sum(axis=1))
+        return np.array([p0, p1]) / (p0 + p1)
+    pp = [float(state @ model.transition[:, z, :].sum(axis=1)) for z in range(model.alphabet_size)]
+    return np.array(pp) / sum(pp)
 
 
 def _ref_sample(model, horizon, rng):
@@ -306,9 +339,21 @@ def _binary_models():
     ]
 
 
+def _ternary_changepoint():
+    """Ternary changepoint: law (0.5, 0.3, 0.2) before a change of hazard
+    0.1, then (0.1, 0.0, 0.9), so a 1 rules out that the change has come."""
+    before, after, rho = np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.0, 0.9]), 0.1
+    T = np.zeros((2, 3, 2))
+    T[0, :, 0] = (1.0 - rho) * before
+    T[0, :, 1] = rho * after
+    T[1, :, 1] = after
+    return HiddenStateModel([1.0, 0.0], T, "ternary changepoint")
+
+
 def _ternary_models():
     return [
         iid_model([0.2, 0.3, 0.5]),
+        _ternary_changepoint(),
         PointMassModel([2, 0, 1, 1], alphabet_size=3),
         TableModel.random(3, depth=2, rng=np.random.default_rng(12)),
     ]
@@ -322,7 +367,7 @@ def _all_sequences(m, length):
 
 
 def _ids(pairs):
-    return [repr(model) if isinstance(model, BinaryHMM) else type(model).__name__
+    return [repr(model) if isinstance(model, HiddenStateModel) else type(model).__name__
             for model, _ in pairs]
 
 
@@ -477,18 +522,20 @@ class TestForwardStateCost:
         model.conditional_batch(_all_sequences(2, k))
         assert len(calls) == 2 ** (k + 1) - 2  # one advance per edge of the tree
 
-    @pytest.mark.parametrize("name", ["changepoint", "markov"])
+    @pytest.mark.parametrize("name", ["changepoint", "markov", "ternary_changepoint"])
     def test_hidden_state_batch_takes_one_batched_step_per_level(self, name):
+        factories = {**COUNTED, "ternary_changepoint": _ternary_changepoint}
         for k in (0, 1, 8):
-            model = COUNTED[name]()
+            model = factories[name]()
+            m = model.alphabet_size
             scalar = _count_calls(model, "advance")
             batched = _count_calls(model, "advance_batch")
             leaves = _count_calls(model, "probs_batch")
-            rows = _all_sequences(2, k)
+            rows = _all_sequences(m, k)
             model.conditional_batch(rows)
             assert len(batched) == k
-            # level j opens 2**(j + 1) nodes, each from its parent's state
-            assert [len(symbols) for _, symbols in batched] == [2 ** (j + 1) for j in range(k)]
+            # level j opens m**(j + 1) nodes, each from its parent's state
+            assert [len(symbols) for _, symbols in batched] == [m ** (j + 1) for j in range(k)]
             assert len(leaves) == 1 and len(leaves[0][0]) == len(rows)
             assert scalar == []
 
