@@ -32,16 +32,42 @@ which is all that identity ranks and a hidden-state alternative can see of
 a prefix.  ``bayes_kelly_bettor`` picks the collapsed one whenever its
 constructor accepts the instance; the two emit the same densities up to
 float reassociation.
+
+A candidate survives a step when its closed rank interval
+``[n_star/n, n_upper/n]``, with both ends formed by float division as the
+transducer forms p-values, holds the realized p-value.  ``grid_index`` turns
+that test into two integer comparisons, so a p-value sitting exactly on a
+grid point (as ``--tau-mode constant:0`` and ``constant:1`` produce) keeps
+the realized candidate; ``p * n`` is not exact and used to prune it.
+
+The collapsed step runs on arrays of a few dozen floats, where each numpy
+call costs more than its arithmetic, so it keeps the call count low without
+changing a bit of its output.  Its rank tables depend only on the step n and
+are read from ramps built once per power-of-two size and shared by every
+bettor, so they hold O(largest step) numbers rather than a table per n: a
+step fills only the ``n_upper`` and tie-count tables.  Survivors are two
+contiguous row ranges, one per newest symbol, so settling slices instead of
+masking.  Some expressions are fixed because any rewrite changes the bits:
+the two matmuls against ``T[:, z, :]`` (OpenBLAS fuses multiply-adds, an
+elementwise sum over hidden states or ``einsum`` does not, and neither
+does one matmul against ``T.reshape(H, 2 * H)``), the interleaved
+``(n+1, 2)`` layout of the per-(ones count, symbol) masses and its
+``sum()`` (pairwise summation order), their sum over hidden states in
+numpy's reduction order (left to right below 8 terms, pairwise from 8 on),
+and the grid heights as ``bincount(n_star) - bincount(n_upper)`` then
+``cumsum``.  ``tests/test_bayes_kelly.py`` keeps the step as it was before
+these tables and checks every emitted bit against it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betting import BettingMartingale, PiecewiseDensity
+from .betting import BettingMartingale, PiecewiseDensity, grid_index
 from .conformal import ConformityMeasure, IdentityMeasure
 from .models import AlternativeModel, HiddenStateModel
 
@@ -121,21 +147,39 @@ def _rank_stats(prefixes: np.ndarray, measure: ConformityMeasure):
 def _grid_heights(n: int, v, n_star, n_upper) -> np.ndarray:
     """Heights of n grid cells where entry i adds ``v[i]`` on cells
     ``[n_star[i], n_upper[i])``."""
-    diff = np.bincount(n_star, weights=v, minlength=n + 1) - np.bincount(
-        n_upper, weights=v, minlength=n + 1
-    )
-    return np.cumsum(diff)[:n]
+    diff = np.bincount(n_star, weights=v, minlength=n + 1)
+    diff -= np.bincount(n_upper, weights=v, minlength=n + 1)
+    return diff.cumsum()[:n]
+
+
+@functools.cache
+def _rank_ramps(size: int):
+    """Read-only ramps the collapsed step reads its rank tables from, for
+    every step n < size: rows (0, size - i) and (i, 0) for i = 0..size, and
+    max(j, 1) and its reciprocal as floats.  Sizes are powers of two, so the
+    cache holds O(largest step) floats."""
+    j = np.arange(size + 1)
+    star_rows = np.zeros((size + 1, 2), dtype=j.dtype)
+    star_rows[:, 1] = j[::-1]
+    count_rows = np.zeros((size + 1, 2), dtype=j.dtype)
+    count_rows[:, 0] = j
+    ksafe = j.astype(float)
+    ksafe[0] = 1.0
+    inv_k = 1.0 / ksafe
+    for table in (star_rows, count_rows, ksafe, inv_k):
+        table.setflags(write=False)
+    return star_rows, count_rows, ksafe, inv_k
 
 
 class _BayesKelly(BettingMartingale):
     """The Bayes-Kelly step shared by both candidate-set representations.
 
     ``_predict`` returns the next p-value's grid heights (before clipping
-    rounding noise at zero) and, for settling, the candidates' rank counts
-    and whatever else ``_condition`` needs.  ``_condition`` gets the mask
-    of candidates whose closed rank interval ``[n_star/n, n_upper/n]``
-    holds the realized p-value, stores the normalised posterior and returns
-    the mass it normalised away.
+    rounding noise at zero) and whatever ``_condition`` needs to settle.
+    ``_condition(below, above, cache)`` keeps the candidates whose closed
+    rank interval ``[n_star/n, n_upper/n]`` holds the realized p-value,
+    which are those with ``n_star <= below`` and ``n_upper >= above``; it
+    stores the normalised posterior and returns the mass it normalised away.
     """
 
     def __init__(self, model: AlternativeModel, measure: ConformityMeasure):
@@ -154,15 +198,18 @@ class _BayesKelly(BettingMartingale):
         if self._dead:
             return PiecewiseDensity.uniform()
         heights, self._cache = self._predict()
-        return PiecewiseDensity(np.maximum(heights, 0.0))
+        return PiecewiseDensity(np.maximum(heights, 0.0, out=heights))
 
     def _settle(self, p: float) -> None:
         if self._dead:
             return
-        n_star, n_upper, extra = self._cache
+        cache = self._cache
         self._cache = None
-        pn = p * (self._steps + 1)
-        mass = self._condition((n_star <= pn) & (pn <= n_upper), extra)
+        n = self._steps + 1
+        # r/n <= p exactly when r <= below, and r/n >= p exactly when r >= above
+        below = grid_index(p, n)
+        above = below if below / n == p else below + 1
+        mass = self._condition(below, above, cache)
         if mass <= 0.0:
             self._dead = True
             return
@@ -186,10 +233,11 @@ class BayesKellyBettor(_BayesKelly):
         low = float(heights.min(initial=0.0))
         if low < -1e-9:
             raise AssertionError(f"predictive density went negative: {low}")
-        return heights, (n_star, n_upper, (ext, k))
+        return heights, (ext, n_star, n_upper, k)
 
-    def _condition(self, alive, extra) -> float:
-        ext, k = extra
+    def _condition(self, below, above, cache) -> float:
+        ext, n_star, n_upper, k = cache
+        alive = (n_star <= below) & (n_upper >= above)
         new_w = np.where(alive, ext.weights / k, 0.0)
         mass = float(new_w.sum())
         keep = new_w > 0.0  # all False at zero mass, leaving an empty set
@@ -214,6 +262,12 @@ class CollapsedBayesKellyBettor(_BayesKelly):
     window only through its ones count and newest symbol, and the
     alternative's future conditionals depend only on its hidden state.  State size is O(step),
     against 2**step for the explicit engine; the two produce identical bets.
+
+    At step n a window with c ones ending in symbol z has ``n_star`` (0, n-c),
+    ``n_upper`` (n-c, n) and tie count (n-c, c) for z = (0, 1).  These tables
+    are views of, or one subtraction from, ramps over 0..size, where size is
+    the power of two above the step (``_rank_ramps``); see the module
+    docstring for the expressions that stay as they are for bit-exactness.
     """
 
     def __init__(self, model: HiddenStateModel, measure: ConformityMeasure):
@@ -222,34 +276,67 @@ class CollapsedBayesKellyBettor(_BayesKelly):
         if not isinstance(measure, IdentityMeasure):
             raise TypeError("collapsed Bayes-Kelly is only valid for the identity measure")
         super().__init__(model, measure)
+        T = model.transition
+        self._T0 = np.ascontiguousarray(T[:, 0, :])  # emit 0
+        self._T1 = np.ascontiguousarray(T[:, 1, :])  # emit 1
         # weights[c, h]: mass of candidates with c ones and hidden state h
-        self._W = model.initial[None, :].astype(float).copy()
+        self._W = model.initial[None, :].astype(float)
+        self._size = 0
+        self._ramps = None
 
     def _predict(self):
         n = self._steps + 1
-        T = self._model.transition
+        if n > self._size:
+            self._size = 1 << n.bit_length()
+            self._ramps = _rank_ramps(self._size)
+        star_rows, count_rows, ksafe_ramp, _ = self._ramps
         W = self._W  # (n, H): ones counts 0..n-1
-        ext = np.zeros((n + 1, 2, W.shape[1]))
-        ext[:n, 0, :] = W @ T[:, 0, :]  # emit 0: ones count unchanged
-        ext[1:, 1, :] = W @ T[:, 1, :]  # emit 1: ones count up by one
-        g = ext.sum(axis=2)  # (n+1, 2) mass per (ones, newest symbol)
+        H = W.shape[1]
+        ext = np.zeros((n + 1, 2, H))
+        np.matmul(W, self._T0, out=ext[:n, 0])  # emit 0: ones count unchanged
+        np.matmul(W, self._T1, out=ext[1:, 1])  # emit 1: ones count up by one
+        # (n+1, 2) mass per (ones, newest symbol).  numpy sums fewer than 8
+        # terms left to right from +0, which adding the (nonnegative) columns
+        # in turn reproduces without the reduction's per-row overhead
+        if H < 8:
+            g = ext[:, :, 0].copy()
+            for h in range(1, H):
+                g += ext[:, :, h]
+        else:
+            g = ext.sum(axis=2)
         total = float(g.sum())
-        c = np.arange(n + 1)
-        # identity ranks for a binary window with c ones ending in symbol z
-        k = np.stack([n - c, c], axis=1)
-        n_star = np.stack([np.zeros(n + 1, dtype=np.int64), n - c], axis=1)
-        n_upper = n_star + k
-        ksafe = np.maximum(k, 1)
-        v = np.where(g > 0.0, g * n / (ksafe * total), 0.0)
+        n_star = star_rows[self._size - n:]
+        n_upper = n - count_rows[: n + 1]
+        # v = g * n / (k * total), with the tie counts k floored at 1: k is
+        # 0 only where g is, and those entries come out +0
+        den = np.empty((n + 1, 2))
+        den[:, 0] = ksafe_ramp[n::-1]
+        den[:, 1] = ksafe_ramp[: n + 1]
+        den *= total
+        v = g * n
+        v /= den
         heights = _grid_heights(n, v.ravel(), n_star.ravel(), n_upper.ravel())
-        return heights, (n_star, n_upper, (ext, g, ksafe))
+        return heights, ext
 
-    def _condition(self, alive, extra) -> float:
-        ext, g, ksafe = extra
-        fac = np.where(alive & (g > 0.0), 1.0 / ksafe, 0.0)
-        new_W = (ext * fac[:, :, None]).sum(axis=1)  # (n+1, H)
+    def _condition(self, below, above, ext) -> float:
+        n = self._steps + 1
+        inv_k = self._ramps[3]
+        # Newest 0 survives for n_upper = n - c >= above, so in rows
+        # c < split; newest 1 for n_star = n - c <= below, so in rows from
+        # n - below.  As above is below or below + 1, that is rows from split
+        # on, plus row split - 1 when p is a grid point (above == below).
+        split = n - above + 1
+        new_W = np.empty((n + 1, ext.shape[2]))
+        np.multiply(ext[:split, 0], inv_k[n::-1][:split, None], out=new_W[:split])
+        np.multiply(ext[split:, 1], inv_k[split : n + 1, None], out=new_W[split:])
+        if above == below:
+            new_W[split - 1] += ext[split - 1, 1] * inv_k[split - 1]
         mass = float(new_W.sum())
-        self._W = new_W / mass if mass > 0.0 else new_W[:0]
+        if mass > 0.0:
+            new_W /= mass
+            self._W = new_W
+        else:
+            self._W = new_W[:0]
         return mass
 
 

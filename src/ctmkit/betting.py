@@ -32,6 +32,23 @@ def linear_from_log(log_value: float) -> float:
     return math.exp(log_value)
 
 
+def grid_index(p: float, n: int) -> int:
+    """The largest i in 0..n with ``i / n <= p``, for p in [0, 1].
+
+    Grid points are formed by float division, as the transducer forms a
+    p-value ``(n_star + tau * k) / n``; ``int(p * n)`` alone can be one off,
+    since ``(a / n) * n`` rounds below ``a`` for some pairs (15/22, 13/23)
+    and above it for others.  The product is within one of the answer, so a
+    single step corrects it.
+    """
+    i = int(p * n)
+    if i < n and (i + 1) / n <= p:
+        return i + 1
+    if i > 0 and i / n > p:
+        return i - 1
+    return i
+
+
 class PiecewiseDensity:
     """Density on [0, 1], constant on ``n`` equal intervals.
 
@@ -52,6 +69,22 @@ class PiecewiseDensity:
         n = hs.size
         if n == 0:
             raise ValueError("density needs at least one grid interval")
+        # Fast path: nonnegative heights whose float sum is within half the
+        # tolerance.  That sum is within about log2(n) * 2**-53 of the exact
+        # one in relative terms, so the exact checks below would pass too
+        # (no height can exceed a sum within tolerance of n).  The min is
+        # NaN when any height is, which fails.
+        if not (np.minimum.reduce(hs) >= 0.0
+                and abs(np.add.reduce(hs) / n - 1.0) <= NORMALIZATION_TOL / 2):
+            self._check(hs)
+        hs.setflags(write=False)
+        self._array = hs
+
+    @staticmethod
+    def _check(hs) -> None:
+        """The exact checks: finite, in [0, n] up to the tolerance, and an
+        exactly rounded mean of 1 within it."""
+        n = hs.size
         bound = n * (1.0 + NORMALIZATION_TOL)
         # min and max are NaN when any height is, which fails both tests
         if not (hs.min() >= 0.0 and hs.max() <= bound):
@@ -63,8 +96,6 @@ class PiecewiseDensity:
         total = math.fsum(hs.tolist()) / n
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density must integrate to 1, got {total!r}")
-        hs.setflags(write=False)
-        self._array = hs
 
     @property
     def array(self) -> np.ndarray:
@@ -104,12 +135,14 @@ class PiecewiseDensity:
         """Height of the grid interval containing ``p``.
 
         Interior boundaries belong to the interval on their right; p = 1
-        belongs to the last interval.
+        belongs to the last interval.  Boundary i sits at the float ``i / n``
+        (see ``grid_index``), so ``evaluate(15 / 22)`` on 22 cells reads
+        cell 15 although ``(15 / 22) * 22`` rounds below 15.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
         n = self._array.size
-        return float(self._array[min(int(p * n), n - 1)])
+        return float(self._array[min(grid_index(p, n), n - 1)])
 
 
 class BettingMartingale(ABC):

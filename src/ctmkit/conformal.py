@@ -112,7 +112,10 @@ def score_window(measure: ConformityMeasure, window) -> np.ndarray:
             f"conformity measure {measure.name!r} returned {scores.shape} scores "
             f"for a window of shape {arr.shape}"
         )
-    if not np.all(np.isfinite(scores)):
+    # a sum is finite only if every term is; when it is not, look at each
+    if not math.isfinite(np.add.reduce(scores)) and not np.logical_and.reduce(
+        np.isfinite(scores)
+    ):
         raise ValueError(f"conformity measure {measure.name!r} produced non-finite scores")
     return scores
 
@@ -129,7 +132,7 @@ def tie_counts(scores) -> tuple[int, int]:
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("need at least one score")
-    last = s[-1]
+    last = float(s[-1])
     n_star = int(np.count_nonzero(s < last))
     n_upper = int(np.count_nonzero(s <= last))
     return n_star, n_upper
@@ -155,8 +158,10 @@ def pvalue_step(scores, tau: float) -> PValueRecord:
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     s = np.asarray(scores, dtype=float)
-    n = int(s.size)
+    n = s.size
     n_star, n_upper = tie_counts(s)
+    if not n_star < n_upper:
+        raise ValueError(f"the newest score must tie with itself, got ranks {n_star}, {n_upper}")
     p = (n_star + tau * (n_upper - n_star)) / n
     return PValueRecord(n=n, n_star=n_star, n_upper=n_upper, tau=float(tau), p=float(p))
 
@@ -215,25 +220,29 @@ def ctm_run(data, measure: ConformityMeasure, bettor, taus: TauSource, horizon: 
 
     ``bettor`` is any ``BettingMartingale``; it sees only the p-values.  The
     returned trajectory has one entry per step; wealth starts at 1 before the
-    first step.  The whole window is re-scored at every step, so a step-n
-    update costs one measure evaluation on n points.
+    first step.  The first ``horizon`` observations are converted to floats
+    and checked for finiteness once, before any step; the step-n window is a
+    view of their first n.  The whole window is re-scored at every step, so a
+    step-n update costs one measure evaluation on n points.  Each step calls
+    this module's ``score_window`` and ``pvalue_step`` (looked up at call
+    time, so a profiler can wrap them), then ``bettor.update``.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    seq = list(data)
+    seq = data if isinstance(data, np.ndarray) else list(data)
     if len(seq) < horizon:
         raise ValueError(
             f"observation stream too short: run needs {horizon} values, got {len(seq)}"
         )
     if bettor.steps_taken != 0:
         raise ValueError("bettor has already been stepped; use a fresh instance")
-    window = np.empty(horizon, dtype=float)
+    window = np.array(seq[:horizon], dtype=float)
+    finite = np.isfinite(window)
+    if not np.logical_and.reduce(finite):
+        n = int(finite.argmin()) + 1
+        raise ValueError(f"observation at position {n} is not finite: {seq[n - 1]!r}")
     out = []
-    for n in range(1, horizon + 1):
-        z = float(seq[n - 1])
-        if not math.isfinite(z):
-            raise ValueError(f"observation at position {n} is not finite: {seq[n - 1]!r}")
-        window[n - 1] = z
+    for n, z in enumerate(window.tolist(), start=1):
         scores = score_window(measure, window[:n])
         rec = pvalue_step(scores, taus.draw())
         factor = bettor.update(rec.p)

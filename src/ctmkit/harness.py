@@ -125,12 +125,17 @@ class ExperimentConfig:
                         raise ValueError
                 except ValueError:
                     problems.append(f"tau_mode: constant value must lie in [0, 1], got {value!r}")
-        kind = self.bettor.partition(":")[0]
+        kind, _, rest = self.bettor.partition(":")
         if kind not in ("bayes_kelly", "bayes_kelly_full", "constant", "density"):
             problems.append(
                 "bettor: must be bayes_kelly, bayes_kelly_full, constant or "
                 f"density:<path>, got {self.bettor!r}"
             )
+        elif kind == "density":
+            try:
+                _density_bettor(rest)
+            except ConfigError as err:
+                problems.append(str(err))
         if not (self.example1 in ("auto", "none") or self.example1.startswith("file:")):
             problems.append(f"example1: must be auto, none or file:<path>, got {self.example1!r}")
         if not isinstance(self.out, str) or not self.out:
@@ -259,15 +264,20 @@ def build_bettor(cfg: ExperimentConfig):
     if kind == "constant":
         return ConstantBettor(), model, measure
     if kind == "density":
-        if not rest:
-            raise ConfigError("bettor: density needs a JSON path of per-step heights")
-        try:
-            payload = json.loads(Path(rest).read_text(encoding="utf-8"))
-            family = {int(step): tuple(heights) for step, heights in payload.items()}
-            return ShrunkAlternativeBettor(family), model, measure
-        except (OSError, ValueError, TypeError) as err:
-            raise ConfigError(f"bettor: {err}") from err
+        return _density_bettor(rest), model, measure
     raise ConfigError(f"bettor: unknown kind {cfg.bettor!r}")
+
+
+def _density_bettor(path: str) -> ShrunkAlternativeBettor:
+    """The ``density:PATH`` bettor: a JSON object of per-step heights."""
+    if not path:
+        raise ConfigError("bettor: density needs a JSON path of per-step heights")
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        family = {int(step): tuple(heights) for step, heights in payload.items()}
+        return ShrunkAlternativeBettor(family)
+    except (OSError, ValueError, TypeError, AttributeError) as err:
+        raise ConfigError(f"bettor: {err}") from err
 
 
 # -- seeding -----------------------------------------------------------------
@@ -496,10 +506,38 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         "audit_max_rel_err": float(audit["max_rel_err"]),
         "ok": bool(audit["ok"]),
     }
+    ordered = np.sort(wealth_arr)
     for q in (5, 25, 50, 75, 95):
-        summary[f"final_wealth_q{q:02d}"] = float(np.quantile(wealth_arr, q / 100.0))
+        summary[f"final_wealth_q{q:02d}"] = _quantile_sorted(ordered, q / 100.0)
     write_json(out_dir / "summary.json", summary)
     return summary
+
+
+def _quantile_sorted(ordered, q: float) -> float:
+    """``np.quantile(values, q)`` with its default linear method, bit for bit,
+    given ``ordered = np.sort(values)`` (NaNs last) and q in [0, 1].
+
+    The same virtual index, neighbours and interpolation as numpy's
+    ``_quantile``, including ``_lerp``'s switch to interpolating down from
+    the upper neighbour when the weight is at least 0.5; any NaN gives NaN.
+    numpy's own path imports ``numpy.ma`` on first use, some 15 ms that every
+    ``simulate`` would pay.  ``tests/test_harness.py::TestQuantile`` checks
+    it against ``np.quantile`` with ``==``.
+    """
+    last = ordered.size - 1
+    if math.isnan(ordered[last]):
+        return math.nan
+    index = last * q
+    if index >= last:
+        below = above = last
+        gamma = index + 1.0  # numpy indexes the last element as -1 here
+    else:
+        below = math.floor(index)
+        above = below + 1
+        gamma = index - below
+    a, b = float(ordered[below]), float(ordered[above])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def _kolmogorov_sf(x: float) -> float:

@@ -9,6 +9,8 @@ from ctmkit import (
     AlternativeModel,
     BayesKellyBettor,
     CollapsedBayesKellyBettor,
+    ConstantBettor,
+    ConstantTauSource,
     DistanceToMeanMeasure,
     HiddenStateModel,
     HypothesisSet,
@@ -17,6 +19,7 @@ from ctmkit import (
     TableModel,
     bayes_kelly_bettor,
     changepoint_model,
+    ctm_run,
     extend,
     iid_model,
     markov_model,
@@ -150,7 +153,7 @@ def _brute_posterior(model, measure, ps):
         for j in range(1, n + 1):
             window = np.asarray(prefix[:j], dtype=float)
             n_star, n_upper = tie_counts(measure.scores(window))
-            if not n_star <= ps[j - 1] * j <= n_upper:
+            if not n_star / j <= ps[j - 1] <= n_upper / j:
                 alive = False
                 break
             weight /= n_upper - n_star
@@ -282,3 +285,161 @@ class TestDensityLaw:
                 assert min(d.heights) >= 0.0
                 assert max(d.heights) <= d.n * (1.0 + 1e-12)
                 b.update(float(rng.random()))
+
+
+def _random_hidden_state(rng, hidden):
+    """Seeded binary ``HiddenStateModel`` with structural zeros: about a
+    quarter of the transition entries (and of the initial law, when there
+    is more than one state) are exactly 0."""
+    initial = rng.dirichlet(np.ones(hidden))
+    if hidden > 1:
+        initial[rng.random(hidden) < 0.25] = 0.0
+        initial[rng.integers(hidden)] += 0.5
+    T = rng.dirichlet(np.ones(2 * hidden), size=hidden)
+    T[rng.random(T.shape) < 0.25] = 0.0
+    T[np.arange(hidden), rng.integers(2 * hidden, size=hidden)] += 0.5
+    return HiddenStateModel(initial / initial.sum(), (T / T.sum(axis=1)[:, None]).reshape(
+        hidden, 2, hidden))
+
+
+def _ref_collapsed_steps(model, ps):
+    """The collapsed engine's step as it stood before its step tables, kept
+    verbatim (``_predict``, ``_condition``, the clipping in ``_bet`` and the
+    old ``p * n`` tests) as the bit-level reference; one (heights, factor,
+    log wealth) per p-value.  Valid for p-values off the grid points i/n,
+    where the old tests agree with the closed-interval rule."""
+    T = model.transition
+    W = model.initial[None, :].astype(float).copy()
+    dead = False
+    log_wealth = 0.0
+    out = []
+    for n, p in enumerate(ps, start=1):
+        if dead:
+            heights = np.ones(1)
+        else:
+            ext = np.zeros((n + 1, 2, W.shape[1]))
+            ext[:n, 0, :] = W @ T[:, 0, :]
+            ext[1:, 1, :] = W @ T[:, 1, :]
+            g = ext.sum(axis=2)
+            total = float(g.sum())
+            c = np.arange(n + 1)
+            k = np.stack([n - c, c], axis=1)
+            n_star = np.stack([np.zeros(n + 1, dtype=np.int64), n - c], axis=1)
+            n_upper = n_star + k
+            ksafe = np.maximum(k, 1)
+            v = np.where(g > 0.0, g * n / (ksafe * total), 0.0)
+            diff = np.bincount(n_star.ravel(), weights=v.ravel(), minlength=n + 1) - np.bincount(
+                n_upper.ravel(), weights=v.ravel(), minlength=n + 1
+            )
+            heights = np.maximum(np.cumsum(diff)[:n], 0.0)
+        factor = float(heights[min(int(p * heights.size), heights.size - 1)])
+        if not dead:
+            pn = p * n
+            alive = (n_star <= pn) & (pn <= n_upper)
+            fac = np.where(alive & (g > 0.0), 1.0 / ksafe, 0.0)
+            new_W = (ext * fac[:, :, None]).sum(axis=1)
+            mass = float(new_W.sum())
+            W = new_W / mass if mass > 0.0 else new_W[:0]
+            dead = mass <= 0.0
+        log_wealth = -math.inf if factor == 0.0 else log_wealth + math.log(factor)
+        out.append((heights, factor, log_wealth))
+    return out
+
+
+_SHIPPED_BINARY = {
+    "changepoint": lambda: changepoint_model(0.5, 0.9, 0.2),
+    "changepoint-slow": lambda: changepoint_model(0.3, 0.8, 0.05),
+    "markov": lambda: markov_model(0.1, 0.1),
+    "markov-init": lambda: markov_model(0.1, 0.1, 0.5),
+    "iid": lambda: iid_model([0.7, 0.3]),
+}
+# 7 and 8 hidden states straddle the length at which numpy's sum over them
+# turns from left to right to pairwise
+_RANDOM_HIDDEN = [(hidden, seed) for hidden in (1, 2, 3) for seed in (0, 1, 2)] + [(7, 0), (8, 0)]
+
+
+class TestCollapsedBits:
+    """The collapsed engine emits the same bits as its frozen reference."""
+
+    def _check(self, model, horizon, seed):
+        ps = np.random.default_rng(seed).random(horizon).tolist()
+        bettor = CollapsedBayesKellyBettor(model, IdentityMeasure())
+        for (heights, factor, log_wealth), p in zip(_ref_collapsed_steps(model, ps), ps):
+            assert np.array_equal(bettor.next_density().array, heights)
+            assert bettor.update(p) == factor
+            assert bettor.log_wealth == log_wealth
+
+    @pytest.mark.parametrize("name", sorted(_SHIPPED_BINARY))
+    def test_shipped_models(self, name):
+        self._check(_SHIPPED_BINARY[name](), 200, 5)
+
+    @pytest.mark.parametrize("hidden, seed", _RANDOM_HIDDEN)
+    def test_random_hidden_state_models(self, hidden, seed):
+        rng = np.random.default_rng([hidden, seed])
+        self._check(_random_hidden_state(rng, hidden), int(rng.integers(20, 201)), seed)
+
+
+def _grid_pvalues(data, tau):
+    """The transducer's p-values at a constant tau: with tau 0 or 1 each is
+    exactly n_star/n or n_upper/n."""
+    steps = ctm_run(data, IdentityMeasure(), ConstantBettor(), ConstantTauSource(tau), len(data))
+    return [s.record.p for s in steps]
+
+
+class TestGridPValues:
+    """p-values exactly on a grid point, as constant:0 and constant:1 give."""
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    @pytest.mark.parametrize("hidden, seed", _RANDOM_HIDDEN + [("changepoint", 0), ("markov", 0)])
+    def test_collapsed_matches_explicit(self, hidden, seed, tau):
+        rng = np.random.default_rng([7, seed])
+        if isinstance(hidden, str):
+            model = _SHIPPED_BINARY[hidden]()
+        else:
+            model = _random_hidden_state(np.random.default_rng([hidden, seed]), hidden)
+        for horizon in (6, 10):
+            ps = _grid_pvalues(model.sample(horizon, rng), tau)
+            full = BayesKellyBettor(model, IdentityMeasure())
+            fast = CollapsedBayesKellyBettor(model, IdentityMeasure())
+            for p in ps:
+                assert fast.next_density().heights == pytest.approx(
+                    full.next_density().heights, abs=1e-12)
+                assert fast.update(p) == pytest.approx(full.update(p), abs=1e-12)
+                assert fast.log_wealth == pytest.approx(full.log_wealth, abs=1e-12)
+                assert fast.dead == full.dead
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_realized_candidate_survives_explicit(self, tau):
+        # tau 0 puts p = 15/22 at step 22, where (15/22)*22 rounds below 15;
+        # tau 1 puts p = 14/25 at step 25, where (14/25)*25 rounds above 14
+        rng = np.random.default_rng(3)
+        data = [0] * 15 + [1] * 7 if tau == 0.0 else [1] * 11 + [0] * 14
+        data += rng.integers(0, 2, 8).tolist()
+        model = PointMassModel(data, alphabet_size=2)
+        bettor = BayesKellyBettor(model, IdentityMeasure())
+        for n, p in enumerate(_grid_pvalues(data, tau), start=1):
+            factor = bettor.update(p)
+            assert _weights(bettor.hypothesis_set).keys() == {tuple(data[:n])}, f"step {n}"
+            # tau 0 puts p on the first cell the candidate covers; tau 1 on the
+            # boundary right after its last one, which belongs to the next cell
+            assert factor > 0.0 or tau == 1.0
+        assert not bettor.dead
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_realized_candidate_survives_collapsed(self, tau):
+        # a hidden-state chain that emits ``data`` and nothing else: the
+        # realized window is the only candidate, so pruning it is death
+        rng = np.random.default_rng(4)
+        data = [0] * 15 + [1] * 7 if tau == 0.0 else [1] * 11 + [0] * 14
+        data += rng.integers(0, 2, 8).tolist()
+        size = len(data) + 1
+        T = np.zeros((size, 2, size))
+        T[np.arange(len(data)), data, np.arange(1, size)] = 1.0
+        T[-1, 0, -1] = 1.0
+        initial = np.eye(size)[0]
+        bettor = CollapsedBayesKellyBettor(HiddenStateModel(initial, T), IdentityMeasure())
+        explicit = BayesKellyBettor(PointMassModel(data, alphabet_size=2), IdentityMeasure())
+        for n, p in enumerate(_grid_pvalues(data, tau), start=1):
+            assert bettor.update(p) == pytest.approx(explicit.update(p), rel=1e-12)
+            assert not bettor.dead, f"step {n}"
+        assert bettor.log_wealth == pytest.approx(explicit.log_wealth, rel=1e-12)

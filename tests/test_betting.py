@@ -9,7 +9,7 @@ from ctmkit import (
     PiecewiseDensity,
     ShrunkAlternativeBettor,
 )
-from ctmkit.betting import linear_from_log
+from ctmkit.betting import grid_index, linear_from_log
 
 
 class TestPiecewiseDensity:
@@ -95,6 +95,23 @@ class TestPiecewiseDensity:
             with pytest.raises(ValueError) as err:
                 PiecewiseDensity(given)
             assert str(err.value) == message
+
+    def test_evaluate_grid_point_reads_the_cell_it_starts(self):
+        # (15/22) * 22 rounds below 15, so int(p * n) would read cell 14
+        heights = np.arange(1.0, 23.0)
+        d = PiecewiseDensity(heights * 22 / heights.sum())
+        assert d.evaluate(15 / 22) == d.array[15]
+        for n in range(1, 200):
+            d = PiecewiseDensity(np.arange(1.0, n + 1) * 2 / (n + 1))
+            assert [d.evaluate(i / n) for i in range(n + 1)] == d.array.tolist() + [d.array[-1]]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 22, 23, 199])
+    def test_grid_index_is_the_float_boundary_rule(self, n):
+        # the largest i with i/n <= p, on grid points and one float either side
+        for i in range(n + 1):
+            for p in (math.nextafter(i / n, -1.0), i / n, math.nextafter(i / n, 2.0)):
+                if 0.0 <= p <= 1.0:
+                    assert grid_index(p, n) == max(j for j in range(n + 1) if j / n <= p)
 
     def test_evaluate_returns_a_python_float(self):
         d = PiecewiseDensity(np.array([0.5, 1.5]))

@@ -97,6 +97,7 @@ class TestExitCodes:
         )
         assert code == 1
         assert "density" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
 
     def test_non_finite_law_is_one(self, tmp_path, capsys):
         for flags in ({"--alt": "iid:nan,0.5", "--dgp": "alt"},
@@ -209,6 +210,20 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_simulate_leaves_numpy_ma_unloaded(self, tmp_path):
+        result = _run_python(
+            "import sys\n"
+            "from ctmkit.harness import ExperimentConfig, run_simulate\n"
+            "cfg = ExperimentConfig.from_mapping(\n"
+            "    {'seed': 1, 'horizon': 20, 'reps': 3, 'out': sys.argv[1]})\n"
+            "run_simulate(cfg)\n"
+            "print('numpy.ma' in sys.modules)",
+            str(tmp_path),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+        assert (tmp_path / "summary.json").exists()
 
     def test_validate_runs_without_scipy(self, tmp_path):
         blocked = _run_python(_WITHOUT_SCIPY, *_MC_VALIDATE, "--out", str(tmp_path / "blocked"))

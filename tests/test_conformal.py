@@ -89,6 +89,11 @@ class TestPValueStep:
     def test_untied_example(self):
         assert pvalue_step([3.1, 2.0, 5.5], 0.0).p == 2 / 3
 
+    def test_newest_score_must_tie_with_itself(self):
+        # a NaN newest score ranks below nothing, not even itself
+        with pytest.raises(ValueError, match="tie with itself"):
+            pvalue_step([0.0, math.nan], 0.5)
+
     def test_tau_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             pvalue_step([1.0], 1.5)
@@ -147,6 +152,16 @@ class TestCtmRun:
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError, match="needs 5 values, got 3"):
             ctm_run([1, 0, 1], IdentityMeasure(), ConstantBettor(), ConstantTauSource(0.0), 5)
+
+    def test_non_finite_observation_rejected_before_any_step(self):
+        bettor = ConstantBettor()
+        with pytest.raises(ValueError, match="position 3 is not finite: nan"):
+            ctm_run([1, 0, math.nan, 1], IdentityMeasure(), bettor, ConstantTauSource(0.5), 4)
+        assert bettor.steps_taken == 0
+        # values past the horizon are not read
+        steps = ctm_run([1, 0, math.inf], IdentityMeasure(), ConstantBettor(),
+                        ConstantTauSource(0.5), 2)
+        assert [s.observation for s in steps] == [1.0, 0.0]
 
     def test_used_bettor_rejected(self):
         bettor = ConstantBettor()

@@ -20,6 +20,7 @@ from ctmkit.harness import (
     CSV_HEADER,
     _parse_null_spec,
     _kolmogorov_sf,
+    _quantile_sorted,
     ConfigError,
     ExperimentConfig,
     audit_trajectory,
@@ -315,6 +316,61 @@ class TestKsPort:
             assert statistic == float(ref.statistic) and pvalue == float(ref.pvalue), (i, n)
             branches.add(statistic * np.sqrt(n) <= 0.82)
         assert branches == {True, False}
+
+
+class TestQuantile:
+    """``_quantile_sorted`` against ``np.quantile``, compared with ``==``."""
+
+    QS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+
+    def _check(self, values):
+        values = np.asarray(values, dtype=float)
+        ordered = np.sort(values)
+        with np.errstate(invalid="ignore"):
+            want = np.array([np.quantile(values, q) for q in self.QS])
+        got = np.array([_quantile_sorted(ordered, q) for q in self.QS])
+        assert np.array_equal(got, want, equal_nan=True), (values, got, want)
+
+    def test_seeded_arrays(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            values = rng.lognormal(0.0, 3.0, size)
+            if rng.random() < 0.5:  # ties
+                values = np.round(values, int(rng.integers(0, 2)))
+            self._check(values)
+
+    def test_inf_nan_and_single_values(self):
+        rng = np.random.default_rng(18)
+        for special_value in (math.inf, -math.inf, math.nan):
+            for size in (1, 2, 3, 5, 20):
+                for _ in range(10):
+                    values = rng.random(size)
+                    values[rng.random(size) < 0.3] = special_value
+                    self._check(values)
+        self._check([0.0, 0.0, math.inf, math.inf])
+        self._check([7.0])
+
+
+class TestDensityBettorConfig:
+    @pytest.mark.parametrize("payload", ['{"1": [1.5], "2": [1.0, 1.0]}', '{"1": [1.0',
+                                         '[[1.0]]', '{"x": [1.0]}'])
+    def test_bad_file_is_a_config_error_before_any_replicate(self, tmp_path, payload):
+        path = tmp_path / "family.json"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(ConfigError, match="bettor"):
+            _cfg(tmp_path, bettor=f"density:{path}")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="bettor"):
+            _cfg(tmp_path, bettor=f"density:{tmp_path / 'absent.json'}")
+
+    def test_good_file_runs(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text('{"2": [2.0, 0.0]}', encoding="utf-8")
+        report = run_simulate(_cfg(tmp_path, bettor=f"density:{path}"))
+        assert report["audit_ok"]
 
 
 class TestOptimality:
