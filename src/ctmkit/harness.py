@@ -686,10 +686,47 @@ def run_optimality(cfg: ExperimentConfig) -> dict:
     return report
 
 
+def _log_q_levels(model, depth: int) -> list:
+    """Natural log probability of every bit string of length at most ``depth >= 1``.
+
+    Entry k is a flat array over the 2**k strings of length k, indexed by
+    the string's binary code (first symbol most significant).  One
+    depth-first walk of the prefix tree with ``start``/``advance``/``probs``
+    computes each node once: a child's total is its parent's plus
+    ``math.log(p)``, the fold :meth:`AlternativeModel.sequence_log_probability`
+    makes, so every entry equals that call bit for bit.  Strings through a
+    zero-probability symbol stay -inf, and the walk never advances past one.
+    """
+    levels = [np.full(1 << k, -math.inf) for k in range(depth + 1)]
+    levels[0][0] = 0.0
+
+    def walk(state, k: int, code: int, total: float) -> None:
+        probs = model.probs(state)
+        for z in (0, 1):
+            p = float(probs[z])
+            if p <= 0.0:
+                continue
+            child, child_total = 2 * code + z, total + math.log(p)
+            levels[k + 1][child] = child_total
+            if k + 1 < depth:
+                walk(model.advance(state, z), k + 1, child, child_total)
+
+    walk(model.start(), 0, 0, 0.0)
+    return levels
+
+
 def run_eprocess(cfg: ExperimentConfig) -> dict:
     """E-process trajectory, exact e-variable table over a theta grid, and the
     all-distinct empirical-ML demonstration; writes CSV tables and
-    eprocess.json."""
+    eprocess.json.
+
+    The table's statistic Q(bits) / ML(bits) reads Q from one walk of the
+    prefix tree (:func:`_log_q_levels`), so each prefix is folded once
+    rather than once per string that extends it.  For every grid length n
+    the walk's value for the realized prefix ``data[:n]`` must equal
+    ``model.sequence_log_probability(data[:n])`` exactly, or the run
+    raises: a self-audit of the walk against the model's own fold.
+    """
     cfg.validate()
     model = build_alternative(cfg.alt)
     if model.alphabet_size != 2:
@@ -726,22 +763,31 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
 
     thetas = [i / 10.0 for i in range(11)]
     n_grid = list(range(1, min(cfg.horizon, EVAR_MAX_N) + 1))
+    levels = _log_q_levels(model, len(n_grid))
     evar_max = 0.0
+    realized = 0  # binary code of data[:n]
     with (out_dir / "evar_table.csv").open("w", encoding="utf-8") as fh:
         fh.write("theta,n,expectation\n")
         for n in n_grid:
-            cache: dict = {}
+            log_q = levels[n].tolist()
+            realized = 2 * realized + int(data[n - 1])
+            folded = model.sequence_log_probability(data[:n])
+            if log_q[realized] != folded:
+                raise RuntimeError(
+                    f"e-variable table: prefix-tree log q of data[:{n}] is "
+                    f"{log_q[realized]!r}, the model's fold gives {folded!r}"
+                )
+            log_ml = [log_ml_sup(n, ones) for ones in range(n + 1)]
+            values = [
+                0.0 if q == -math.inf else math.exp(q - log_ml[bin(code).count("1")])
+                for code, q in enumerate(log_q)
+            ]
 
-            def stat(bits, _n=n, _cache=cache):
-                value = _cache.get(bits)
-                if value is None:
-                    log_q = model.sequence_log_probability(bits)
-                    if log_q == -math.inf:
-                        value = 0.0
-                    else:
-                        value = math.exp(log_q - log_ml_sup(_n, sum(bits)))
-                    _cache[bits] = value
-                return value
+            def stat(bits, _values=values):
+                code = 0
+                for b in bits:
+                    code = 2 * code + b
+                return _values[code]
 
             for theta in thetas:
                 expectation = _oracle.evariable_expectation(stat, theta, n)

@@ -202,20 +202,48 @@ def sample_betting_family(cells, rng: np.random.Generator) -> list:
     grid) per history node, so cells sharing a p-value history share the
     density they face: the rival is a legitimate betting martingale, just
     not the predictive one.
+
+    A node at depth n - 1 faces n intervals and gets ``dirichlet(ones(n)) *
+    n``; nodes draw in first-visit order (by the first cell that reaches
+    them, then by depth).  Dirichlet(1, ..., 1) is n standard exponentials
+    over their sum, and numpy's ``Generator.dirichlet`` (numpy 2.4; a test
+    compares the two with ``==``) computes it that way for unit weights:
+    one ``standard_exponential`` per entry from the same stream, a
+    left-to-right sum, then each entry times the reciprocal of the sum.  So
+    all the nodes' exponentials come from one ``standard_exponential`` call
+    and are normalised together with the same operations, which leaves both
+    the heights and the generator state bit for bit as one ``dirichlet``
+    call per node would.
     """
-    node_heights: dict = {}
-    out = []
-    for cell in cells:
-        factors = []
-        for n in range(1, len(cell.intervals) + 1):
-            history = cell.intervals[: n - 1]
-            heights = node_heights.get(history)
-            if heights is None:
-                heights = rng.dirichlet(np.ones(n)) * n
-                node_heights[history] = heights
-            factors.append(float(heights[cell.intervals[n - 1]]))
-        out.append(tuple(factors))
-    return out
+    if not cells:
+        return []
+    iv = np.array([cell.intervals for cell in cells], dtype=np.int64)
+    count, horizon = iv.shape
+    cell_index = np.arange(count)
+    # first[c, d]: the first cell to reach cell c's history node at depth d,
+    # whose history iv[c, :d] has a mixed-radix code (entry k is in range(k + 1))
+    first = np.empty((count, horizon), dtype=np.int64)
+    code = np.zeros(count, dtype=np.int64)
+    for d in range(horizon):
+        if d:
+            code = code * d + iv[:, d - 1]
+        seen = np.full(math.factorial(d), count)
+        np.minimum.at(seen, code, cell_index)
+        first[:, d] = seen[code]
+    # Draw order is the row-major order of the (cell, depth) pairs at which a
+    # cell reaches a node first: by first cell, then by depth.
+    opens = first == cell_index[:, None]
+    draw_row = opens.ravel().cumsum().reshape(count, horizon) - 1
+    sizes = np.nonzero(opens)[1] + 1  # intervals per node, in draw order
+    grid = np.arange(horizon) < sizes[:, None]  # row r: node r's entries, zero-padded
+    heights = np.zeros(grid.shape)
+    heights[grid] = rng.standard_exponential(int(sizes.sum()))
+    total = np.zeros(len(heights))
+    for j in range(horizon):  # left to right, as dirichlet sums; padding adds 0.0
+        total = total + heights[:, j]
+    heights = heights * (1.0 / total)[:, None] * sizes[:, None]
+    factors = heights[draw_row[first, np.arange(horizon)], iv]
+    return list(map(tuple, factors.tolist()))
 
 
 def evariable_expectation(statistic: Callable, theta: float, n: int) -> float:

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -7,13 +9,19 @@ import pytest
 from scipy import special, stats
 
 from ctmkit import (
+    AlternativeModel,
     BayesKellyBettor,
     CollapsedBayesKellyBettor,
+    HiddenStateModel,
     IdentityMeasure,
+    PointMassModel,
+    TableModel,
     bk_factor_sequences,
     cell_tree,
     changepoint_model,
     expected_log_wealth,
+    iid_model,
+    markov_model,
 )
 from ctmkit import harness
 from ctmkit.harness import (
@@ -430,6 +438,104 @@ class TestEProcessRun:
         cfg = _cfg(tmp_path, alt="iid:0.2,0.3,0.5")
         with pytest.raises(ConfigError, match="binary"):
             run_eprocess(cfg)
+
+
+class _Laplace(AlternativeModel):
+    """Rule of succession: a custom model that defines only ``conditional``."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def conditional(self, prefix):
+        p1 = (sum(prefix) + 1.0) / (len(prefix) + 2.0)
+        return np.array([1.0 - p1, p1])
+
+
+WALK_MODELS = [
+    changepoint_model(0.5, 0.9, 0.2),
+    changepoint_model(0.3, 0.9, 0.0),
+    changepoint_model(0.3, 0.9, 1.0),
+    changepoint_model(0.0, 1.0, 0.2),
+    changepoint_model(1.0, 0.0, 0.4),
+    markov_model(0.1, 0.1, 0.5),
+    markov_model(0.0, 0.0, 1.0),
+    markov_model(1.0, 1.0, 0.0),
+    iid_model([1.0, 0.0]),
+    TableModel.random(2, depth=3, rng=np.random.default_rng(11)),
+    PointMassModel([1, 0, 1], alphabet_size=2),
+    _Laplace(),
+]
+
+
+def _model_id(model):
+    return repr(model) if isinstance(model, HiddenStateModel) else type(model).__name__
+
+
+# sha256 of eprocess_trajectory.csv, eprocess.json and evar_table.csv, in that
+# order, as written when the e-variable table called sequence_log_probability
+# once per bit string (seed 1, null bernoulli:0.5)
+EPROCESS_DIGESTS = {
+    ("markov:0.1,0.1,0.5", 1): "a53b4d6d4f1a62e1f6ff0a9ebea30557c50ca21ae0c3611b6ea9e9eb4262c8c8",
+    ("markov:0.1,0.1,0.5", 2): "cf36448a44053d80ddb63db7ef0caeb99c2418ea41c5dcf802457c0fe94dfac8",
+    ("markov:0.1,0.1,0.5", 11): "2b7203b659a5bde3ed769cbdd5d8ce3bbef850a45d576bedfbbfb4c6e48f0850",
+    ("markov:0.1,0.1,0.5", 12): "c3a51db2d1fc8b9fc3c6b4a28f6166683a15ff2c1fea8becf7f7be2f5f27186e",
+    ("markov:0.1,0.1,0.5", 20): "2605387c4f51824380eef2c97b76389f76922d4c8ccc4f54dcb7d09af88ba4d9",
+    ("changepoint:0.5,0.9,0.2", 1): "74b541eb0ef612ce8ed4ec90238f0e5b3804608950506d312187adf41c541658",
+    ("changepoint:0.5,0.9,0.2", 2): "59d339913d9c6375adbdde281b204dd9c1c5b496b5aaf510163f2628df1afa20",
+    ("changepoint:0.5,0.9,0.2", 11): "c60c256bdcbca9907a224f4c6820c463a6c15bc6c8fb00e85c67a535fa628140",
+    ("changepoint:0.5,0.9,0.2", 12): "04f5eb170f3817f732ab74bba93b028a035ac1c8238fb26448485d5abdab6f37",
+    ("changepoint:0.5,0.9,0.2", 20): "ea00b2c99f0cf9a43eef96ed1bb8780e5828fc76b4b981a1767cf43985c0b359",
+    ("markov:0,0,1", 1): "7c5652bb0984e3e38bd268481c79e938210adc9194597954c80e4e9e8c18e116",
+    ("markov:0,0,1", 2): "ef82c3742f78d728d47b6d3ccf32ba438f68f65d0d9d9e33f50515fde64cfed9",
+    ("markov:0,0,1", 11): "54db039be62fec353c5d42e8c574e69a9fa57cb9a87e08ddedd1645ccf6e4475",
+    ("markov:0,0,1", 12): "3373acce73a2eadf64e46a1fee25f0ad3a6cd74e60057b891c76438b82407471",
+    ("markov:0,0,1", 20): "ca1b9376fd25118f8a31b7d92dfd2213127b91122134667e4610d29f91d1bb23",
+}
+
+
+class TestEVariableTableWalk:
+    @pytest.mark.parametrize("model", WALK_MODELS, ids=_model_id)
+    def test_levels_equal_sequence_log_probability(self, model):
+        levels = harness._log_q_levels(model, 12)
+        assert len(levels) == 13
+        for k, level in enumerate(levels):
+            want = [model.sequence_log_probability(bits)
+                    for bits in itertools.product((0, 1), repeat=k)]
+            assert level.tolist() == want
+
+    @pytest.mark.parametrize("alt,horizon", list(EPROCESS_DIGESTS))
+    def test_outputs_unchanged(self, tmp_path, alt, horizon):
+        cfg = ExperimentConfig.from_mapping(dict(
+            seed=1, horizon=horizon, null="bernoulli:0.5", alt=alt, out=str(tmp_path)))
+        run_eprocess(cfg)
+        digest = hashlib.sha256()
+        for name in ("eprocess_trajectory.csv", "eprocess.json", "evar_table.csv"):
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == EPROCESS_DIGESTS[alt, horizon]
+
+    def test_one_audit_fold_per_grid_length(self, tmp_path, monkeypatch):
+        calls = []
+        fold = AlternativeModel.sequence_log_probability
+
+        def counted(model, seq):
+            calls.append(len(seq))
+            return fold(model, seq)
+
+        monkeypatch.setattr(AlternativeModel, "sequence_log_probability", counted)
+        run_eprocess(_cfg(tmp_path, alt="markov:0.1,0.1,0.5", horizon=14))
+        assert calls == list(range(1, 13))
+
+    def test_audit_raises_on_a_walk_mismatch(self, tmp_path, monkeypatch):
+        walk = harness._log_q_levels
+
+        def off_by_one_ulp(model, depth):
+            levels = walk(model, depth)
+            levels[3][:] = np.nextafter(levels[3], 0.0)
+            return levels
+
+        monkeypatch.setattr(harness, "_log_q_levels", off_by_one_ulp)
+        with pytest.raises(RuntimeError, match=r"data\[:3\]"):
+            run_eprocess(_cfg(tmp_path, alt="markov:0.1,0.1,0.5", horizon=5))
 
 
 class TestWriters:

@@ -135,6 +135,20 @@ class TestHiddenStateModel:
         for row, got in zip(prefixes, batch):
             assert np.allclose(got, m.conditional(row), atol=1e-15)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("H", [2, 3, 4, 8])
+    def test_conditional_batch_within_rounding_on_random_models(self, m, H):
+        # a batch row is a gemm block where conditional steps with gemv, so
+        # on general models the two agree to rounding, not bit for bit
+        rng = np.random.default_rng(100 * m + H)
+        for _ in range(5):
+            transition = rng.dirichlet(np.ones(m * H), size=H).reshape(H, m, H)
+            model = HiddenStateModel(rng.dirichlet(np.ones(H)), transition)
+            for length in range(6 if m == 2 else 4):
+                rows = _all_sequences(m, length)
+                want = np.stack([model.conditional(row) for row in rows])
+                assert np.abs(model.conditional_batch(rows) - want).max() <= 1e-12
+
 
 class TestIid:
     def test_binary_factory_collapse_eligible(self):

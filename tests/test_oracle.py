@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,58 @@ class TestSampledFamilies:
             # one height per interval, normalized to integrate to 1
             assert set(heights) == set(range(n))
             assert math.fsum(heights.values()) / n == pytest.approx(1.0, abs=1e-12)
+
+
+def _one_dirichlet_per_node(cells, rng):
+    """sample_betting_family as it was before the batched draw, kept verbatim
+    as the bit-for-bit reference: one dirichlet call per history node."""
+    node_heights: dict = {}
+    out = []
+    for cell in cells:
+        factors = []
+        for n in range(1, len(cell.intervals) + 1):
+            history = cell.intervals[: n - 1]
+            heights = node_heights.get(history)
+            if heights is None:
+                heights = rng.dirichlet(np.ones(n)) * n
+                node_heights[history] = heights
+            factors.append(float(heights[cell.intervals[n - 1]]))
+        out.append(tuple(factors))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cell_lists():
+    models = (markov_model(0.1, 0.1), changepoint_model(0.5, 0.9, 0.2),
+              PointMassModel([1, 0, 1], alphabet_size=2))
+    lists = [[]]
+    for horizon in range(1, 8):
+        for model in models:
+            for measure in (IdentityMeasure(), DistanceToMeanMeasure()):
+                lists.append(cell_tree(model, measure, horizon))
+    # shuffled, first-visit order is no longer depth-first order
+    for horizon in (4, 6):
+        shuffled = list(cell_tree(markov_model(0.1, 0.1), IdentityMeasure(), horizon))
+        random.Random(horizon).shuffle(shuffled)
+        lists.append(shuffled)
+    return lists
+
+
+class TestSamplerBitIdentity:
+    def test_matches_one_dirichlet_per_node(self, cell_lists):
+        assert any(c.q_mass == 0.0 for cells in cell_lists for c in cells)
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for cells in cell_lists:
+                got = sample_betting_family(cells, got_rng)
+                assert got == _one_dirichlet_per_node(cells, want_rng)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_empty_cell_list_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert sample_betting_family([], rng) == []
+        assert rng.bit_generator.state == state
 
 
 class TestEVariableExpectation:
