@@ -214,7 +214,8 @@ class ShrunkAlternativeBettor(BettingMartingale):
     silent about get the uniform density.  Accepts a mapping or a sequence
     (interpreted as steps 1..K), with entries given as ``PiecewiseDensity``
     or raw height tuples.  Every entry is validated up front so a
-    non-normalized table fails at construction, naming the offending step.
+    non-normalized table fails at construction, naming the offending step;
+    :attr:`family` is the validated table, which a new bettor takes as is.
     """
 
     def __init__(self, family):
@@ -234,7 +235,7 @@ class ShrunkAlternativeBettor(BettingMartingale):
                 except ValueError as err:
                     raise ValueError(f"density for step {step}: {err}") from err
             table[step] = entry
-        self._table = table
+        self.family = table
 
     def _bet(self) -> PiecewiseDensity:
-        return self._table.get(self._steps + 1, PiecewiseDensity.uniform())
+        return self.family.get(self._steps + 1, PiecewiseDensity.uniform())

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy.random  # every command's first act is `substream`: load it with th
 
 from . import oracle as _oracle
 from .bayes_kelly import BayesKellyBettor, CollapsedBayesKellyBettor, bayes_kelly_bettor
-from .betting import ConstantBettor, PiecewiseDensity, ShrunkAlternativeBettor, linear_from_log
+from .betting import ConstantBettor, ShrunkAlternativeBettor, linear_from_log
 from .conformal import (
     ConstantTauSource,
     DistanceToMeanMeasure,
@@ -56,6 +57,17 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; validation is construction.
+
+    Every spec is parsed and every input file read here, once, before a
+    command writes anything; all problems are reported together, each naming
+    its field.  The built objects are plain attributes, not fields: ``model``,
+    ``conformity`` (the measure), ``null_sampler``, ``tau`` (None: uniform),
+    and ``density_family``, ``observations`` (``--dgp file:``) and
+    ``example1_values``, each None when not given.  They pickle with the
+    config, so a ``--jobs`` worker parses nothing again.
+    """
+
     seed: int = -1
     horizon: int = 0
     reps: int = 1
@@ -76,68 +88,46 @@ class ExperimentConfig:
         unknown = sorted(set(mapping) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = cls(**{k: v for k, v in mapping.items() if k in known})
-        cfg.validate()
-        return cfg
+        return cls(**mapping)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         problems = []
-        for name in ("seed", "horizon", "reps", "rivals", "jobs"):
+        for name, low, rule in (
+            ("seed", 0, "must be a nonnegative integer (it feeds the seed tree)"),
+            ("horizon", 1, "must be at least 1"),
+            ("reps", 1, "must be at least 1"),
+            ("rivals", 0, "must be nonnegative"),
+            ("jobs", 1, "must be at least 1"),
+        ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 try:
                     setattr(self, name, int(value))
                 except (TypeError, ValueError):
                     problems.append(f"{name}: must be an integer, got {value!r}")
-        if isinstance(self.seed, int) and self.seed < 0:
-            problems.append("seed: must be a nonnegative integer (it feeds the seed tree)")
-        if isinstance(self.horizon, int) and self.horizon < 1:
-            problems.append("horizon: must be at least 1")
-        if isinstance(self.reps, int) and self.reps < 1:
-            problems.append("reps: must be at least 1")
-        if isinstance(self.rivals, int) and self.rivals < 0:
-            problems.append("rivals: must be nonnegative")
-        if isinstance(self.jobs, int) and self.jobs < 1:
-            problems.append("jobs: must be at least 1")
-        for name, parser in (
-            ("measure", build_measure),
-            ("alt", build_alternative),
-            ("null", _parse_null_spec),
-        ):
+                    continue
+            if getattr(self, name) < low:
+                problems.append(f"{name}: {rule}")
+
+        def build(name, parse, *args):
             try:
-                parser(getattr(self, name))
+                return parse(getattr(self, name), *args)
             except ConfigError as err:
                 problems.append(str(err))
             except Exception as err:  # noqa: BLE001 - reported as a config problem
                 problems.append(f"{name}: {err}")
-        if not (self.dgp in ("null", "alt") or self.dgp.startswith("file:")):
-            problems.append(f"dgp: must be null, alt or file:<path>, got {self.dgp!r}")
-        if self.tau_mode != "uniform":
-            kind, _, value = self.tau_mode.partition(":")
-            if kind != "constant":
-                problems.append(
-                    f"tau_mode: must be uniform or constant:<value>, got {self.tau_mode!r}"
-                )
-            else:
-                try:
-                    v = float(value)
-                    if not 0.0 <= v <= 1.0:
-                        raise ValueError
-                except ValueError:
-                    problems.append(f"tau_mode: constant value must lie in [0, 1], got {value!r}")
-        kind, _, rest = self.bettor.partition(":")
-        if kind not in ("bayes_kelly", "bayes_kelly_full", "constant", "density"):
-            problems.append(
-                "bettor: must be bayes_kelly, bayes_kelly_full, constant or "
-                f"density:<path>, got {self.bettor!r}"
-            )
-        elif kind == "density":
-            try:
-                _density_bettor(rest)
-            except ConfigError as err:
-                problems.append(str(err))
-        if not (self.example1 in ("auto", "none") or self.example1.startswith("file:")):
-            problems.append(f"example1: must be auto, none or file:<path>, got {self.example1!r}")
+            return None
+
+        self.conformity = build("measure", build_measure)
+        self.model = build("alt", build_alternative)
+        self.null_sampler = build("null", _parse_null_spec)
+        stream = self.observations = build("dgp", _load_values, "dgp", ("null", "alt"))
+        if stream is not None and isinstance(self.horizon, int) and stream.size < self.horizon:
+            problems.append(f"dgp: observation stream has {stream.size} values, "
+                            f"horizon needs {self.horizon}")
+        self.tau = build("tau_mode", _parse_tau_mode)
+        self.density_family = build("bettor", _load_bettor)
+        self.example1_values = build("example1", _load_values, "example1", ("auto", "none"))
         if not isinstance(self.out, str) or not self.out:
             problems.append("out: must be a non-empty path")
         if problems:
@@ -206,78 +196,109 @@ def build_alternative(spec: str):
     )
 
 
+def _sample_bernoulli(theta, rng, n):
+    return (rng.random(n) < theta).astype(np.int64)
+
+
+def _sample_categorical(cum, rng, n):
+    index = np.searchsorted(cum, rng.random(n), side="right")
+    return np.minimum(index, cum.size - 1).astype(np.int64)
+
+
+def _sample_normal(mu, sigma, rng, n):
+    return mu + sigma * rng.standard_normal(n)
+
+
+def _sample_uniform(rng, n):
+    return rng.random(n)
+
+
 def _parse_null_spec(spec: str):
+    """The ``--null`` sampler, called as ``sampler(rng, n)``: a module-level
+    function, bound with ``partial``, so that a resolved config pickles."""
     kind, _, rest = spec.partition(":")
     if kind == "bernoulli":
         args = _floats(rest, "null")
         if len(args) != 1 or not 0.0 <= args[0] <= 1.0:
             raise ConfigError(f"null: bernoulli takes one probability, got {rest!r}")
-        theta = args[0]
-
-        def sample(rng, n):
-            return (rng.random(n) < theta).astype(np.int64)
-
-        return sample, True
+        return partial(_sample_bernoulli, args[0])
     if kind == "categorical":
         probs = np.asarray(_floats(rest, "null"), dtype=float)
         if probs.size < 2 or np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ConfigError(f"null: categorical needs probabilities summing to 1, got {rest!r}")
-        cum = np.cumsum(probs)
-
-        def sample(rng, n):
-            return np.minimum(
-                np.searchsorted(cum, rng.random(n), side="right"), probs.size - 1
-            ).astype(np.int64)
-
-        return sample, True
-    if kind == "normal" or spec == "normal":
+        return partial(_sample_categorical, np.cumsum(probs))
+    if kind == "normal":
         args = _floats(rest, "null") if rest else []
         if len(args) not in (0, 2):
             raise ConfigError("null: normal takes no arguments or mu,sigma")
-        mu, sigma = (args + [0.0, 1.0])[:2] if args else (0.0, 1.0)
+        mu, sigma = args or (0.0, 1.0)
         if sigma <= 0:
             raise ConfigError(f"null: normal sigma must be positive, got {sigma}")
-
-        def sample(rng, n):
-            return mu + sigma * rng.standard_normal(n)
-
-        return sample, False
+        return partial(_sample_normal, mu, sigma)
     if spec == "uniform":
-
-        def sample(rng, n):
-            return rng.random(n)
-
-        return sample, False
-    raise ConfigError(
-        f"null: must be bernoulli/categorical/normal/uniform, got {spec!r}"
-    )
+        return _sample_uniform
+    raise ConfigError(f"null: must be bernoulli/categorical/normal/uniform, got {spec!r}")
 
 
-def build_bettor(cfg: ExperimentConfig):
-    kind, _, rest = cfg.bettor.partition(":")
-    model = build_alternative(cfg.alt)
-    measure = build_measure(cfg.measure)
-    if kind == "bayes_kelly":
-        return bayes_kelly_bettor(model, measure), model, measure
-    if kind == "bayes_kelly_full":
-        return BayesKellyBettor(model, measure), model, measure
-    if kind == "constant":
-        return ConstantBettor(), model, measure
-    if kind == "density":
-        return _density_bettor(rest), model, measure
-    raise ConfigError(f"bettor: unknown kind {cfg.bettor!r}")
+def _parse_tau_mode(spec: str):
+    """None for ``uniform``, else the ``constant:VALUE`` tie-breaking value."""
+    if spec == "uniform":
+        return None
+    kind, _, value = spec.partition(":")
+    if kind != "constant":
+        raise ConfigError(f"tau_mode: must be uniform or constant:<value>, got {spec!r}")
+    try:
+        tau = float(value)
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"tau_mode: constant value must lie in [0, 1], got {value!r}") from None
+    return tau
 
 
-def _density_bettor(path: str) -> ShrunkAlternativeBettor:
-    """The ``density:PATH`` bettor: a JSON object of per-step heights."""
+def _load_bettor(spec: str):
+    """The validated per-step family of a ``density:PATH`` bettor, else None."""
+    kind, _, path = spec.partition(":")
+    if kind not in ("bayes_kelly", "bayes_kelly_full", "constant", "density"):
+        raise ConfigError("bettor: must be bayes_kelly, bayes_kelly_full, constant or "
+                          f"density:<path>, got {spec!r}")
+    if kind != "density":
+        return None
     if not path:
         raise ConfigError("bettor: density needs a JSON path of per-step heights")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         family = {int(step): tuple(heights) for step, heights in payload.items()}
-        return ShrunkAlternativeBettor(family)
+        return ShrunkAlternativeBettor(family).family
     except (OSError, ValueError, TypeError, AttributeError) as err:
         raise ConfigError(f"bettor: {err}") from err
+
+
+def _load_values(spec: str, field: str, keywords: tuple):
+    """None for one of two ``keywords``, else the observations in ``file:PATH``."""
+    if spec in keywords:
+        return None
+    if not spec.startswith("file:"):
+        raise ConfigError(f"{field}: must be {keywords[0]}, {keywords[1]} or file:<path>, "
+                          f"got {spec!r}")
+    values = np.asarray(read_observation_stream(spec[len("file:"):]))
+    if not values.size:
+        raise ConfigError(f"{field}: {spec[len('file:'):]} holds no observations")
+    return values
+
+
+def build_bettor(cfg: ExperimentConfig):
+    """A fresh bettor for one replicate, with the config's model and measure."""
+    kind = cfg.bettor.partition(":")[0]
+    if kind == "bayes_kelly":
+        bettor = bayes_kelly_bettor(cfg.model, cfg.conformity)
+    elif kind == "bayes_kelly_full":
+        bettor = BayesKellyBettor(cfg.model, cfg.conformity)
+    elif kind == "constant":
+        bettor = ConstantBettor()
+    else:
+        bettor = ShrunkAlternativeBettor(cfg.density_family)
+    return bettor, cfg.model, cfg.conformity
 
 
 # -- seeding -----------------------------------------------------------------
@@ -293,30 +314,20 @@ _STREAM_RIVALS = 1
 _STREAM_DEMO = 2
 
 
-def _tau_source(cfg: ExperimentConfig, rng: np.random.Generator):
-    if cfg.tau_mode == "uniform":
-        return UniformTauSource(rng)
-    value = float(cfg.tau_mode.partition(":")[2])
-    return ConstantTauSource(value)
-
-
-def _replicate_data(cfg: ExperimentConfig, rng: np.random.Generator, model):
-    """One replicate's observations; ``--dgp alt`` samples the alternative
-    ``model`` built from ``cfg.alt``."""
+def _replicate_data(cfg: ExperimentConfig, rng: np.random.Generator):
+    """One replicate's observations."""
     if cfg.dgp == "null":
-        sampler, _ = _parse_null_spec(cfg.null)
-        return np.asarray(sampler(rng, cfg.horizon))
+        return np.asarray(cfg.null_sampler(rng, cfg.horizon))
     if cfg.dgp == "alt":
-        return model.sample(cfg.horizon, rng)
-    path = cfg.dgp.partition(":")[2]
-    return np.asarray(read_observation_stream(path))
+        return cfg.model.sample(cfg.horizon, rng)
+    return cfg.observations
 
 
 def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
     data_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 0)
     tau_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 1)
     bettor, model, measure = build_bettor(cfg)
-    data = _replicate_data(cfg, data_rng, model)
+    data = _replicate_data(cfg, data_rng)
     if isinstance(bettor, (BayesKellyBettor, CollapsedBayesKellyBettor)):
         if not np.issubdtype(np.asarray(data).dtype, np.integer):
             raise ValueError(
@@ -327,9 +338,10 @@ def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
             raise ValueError(
                 f"observations outside the alternative's alphabet [0, {model.alphabet_size})"
             )
-    steps = ctm_run(data, measure, bettor, _tau_source(cfg, tau_rng), cfg.horizon)
+    taus = UniformTauSource(tau_rng) if cfg.tau is None else ConstantTauSource(cfg.tau)
+    steps = ctm_run(data, measure, bettor, taus, cfg.horizon)
     n = len(steps)
-    payload = {
+    return {
         "z": np.asarray(data[:n]),
         "tau": np.array([s.record.tau for s in steps]),
         "n_star": np.array([s.record.n_star for s in steps], dtype=np.int64),
@@ -338,7 +350,6 @@ def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
         "factor": np.array([s.factor for s in steps]),
         "log_wealth": np.array([s.log_wealth for s in steps]),
     }
-    return payload
 
 
 def _chunk_payloads(args):
@@ -469,7 +480,6 @@ def audit_trajectory(path) -> dict:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Simulate replicate trajectories; write trajectory.csv and summary.json."""
-    cfg.validate()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.csv"
@@ -576,7 +586,6 @@ def ks_uniform(p) -> tuple:
 def run_validate(cfg: ExperimentConfig) -> dict:
     """Check p-value uniformity/independence and the unit-mean wealth property
     under the configured null; write validity.json."""
-    cfg.validate()
     if cfg.reps < 2:
         raise ConfigError(
             "reps: the wealth check needs at least 2 replicates for a standard "
@@ -641,15 +650,12 @@ def run_validate(cfg: ExperimentConfig) -> dict:
 def run_optimality(cfg: ExperimentConfig) -> dict:
     """Certify the exact optimality identity by cell-tree enumeration;
     write certificate.json."""
-    cfg.validate()
     if cfg.horizon > MAX_OPTIMALITY_HORIZON:
         raise ConfigError(
             "horizon: the optimality certificate enumerates N! cells; "
             f"maximum horizon is {MAX_OPTIMALITY_HORIZON}, got {cfg.horizon}"
         )
-    model = build_alternative(cfg.alt)
-    measure = build_measure(cfg.measure)
-    cells = _oracle.cell_tree(model, measure, cfg.horizon)
+    cells = _oracle.cell_tree(cfg.model, cfg.conformity, cfg.horizon)
     expected_log = _oracle.expected_log_wealth(cells, _oracle.bk_factor_sequences(cells))
     kl = _oracle.pushforward_kl(cells)
     rng = substream(cfg.seed, _STREAM_RIVALS)
@@ -727,18 +733,12 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     ``model.sequence_log_probability(data[:n])`` exactly, or the run
     raises: a self-audit of the walk against the model's own fold.
     """
-    cfg.validate()
-    model = build_alternative(cfg.alt)
+    model = cfg.model
     if model.alphabet_size != 2:
         raise ConfigError("alt: the e-process path needs a binary alternative")
-    data_rng = substream(cfg.seed, _STREAM_REPLICATE, 0, 0)
-    data = np.asarray(_replicate_data(cfg, data_rng, model))
+    data = np.asarray(_replicate_data(cfg, substream(cfg.seed, _STREAM_REPLICATE, 0, 0)))
     if not np.issubdtype(data.dtype, np.integer):
         raise ConfigError("null: the e-process path needs binary integer data")
-    if data.size < cfg.horizon:
-        raise ConfigError(
-            f"dgp: observation stream has {data.size} values, horizon needs {cfg.horizon}"
-        )
     data = data[: cfg.horizon]
     if data.size and (int(data.min()) < 0 or int(data.max()) > 1):
         raise ConfigError("dgp: the e-process path needs bits (0/1)")
@@ -808,11 +808,9 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     }
 
     if cfg.example1 != "none":
-        if cfg.example1 == "auto":
-            demo_rng = substream(cfg.seed, _STREAM_DEMO)
-            demo = demo_rng.standard_normal(max(cfg.horizon, 2))
-        else:
-            demo = [float(v) for v in read_observation_stream(cfg.example1.partition(":")[2])]
+        demo = cfg.example1_values
+        if demo is None:
+            demo = substream(cfg.seed, _STREAM_DEMO).standard_normal(max(cfg.horizon, 2))
         block = example_distinct_report(demo)
         report.update(
             {

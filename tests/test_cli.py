@@ -99,6 +99,23 @@ class TestExitCodes:
         assert "density" in capsys.readouterr().err
         assert not (tmp_path / "run" / "trajectory.csv").exists()
 
+    def test_bad_input_file_is_one_and_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0.5\nnot-a-number\n", encoding="utf-8")
+        short = tmp_path / "short.txt"
+        short.write_text("1\n0\n", encoding="utf-8")
+        runs = [
+            ("dgp", ["simulate", *_simulate_args(tmp_path / "run", **{"--dgp": "file:/missing"})]),
+            ("dgp", ["simulate", *_simulate_args(tmp_path / "run", **{"--dgp": f"file:{short}"})]),
+            ("dgp", ["eprocess", *_simulate_args(tmp_path / "run", **{"--dgp": f"file:{short}"})]),
+            ("example1", ["eprocess", *_simulate_args(tmp_path / "run", **{
+                "--alt": "iid:0.5", "--example1": f"file:{bad}"})]),
+        ]
+        for field, argv in runs:
+            assert main(argv) == 1
+            assert f"config error: {field}: " in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     def test_non_finite_law_is_one(self, tmp_path, capsys):
         for flags in ({"--alt": "iid:nan,0.5", "--dgp": "alt"},
                       {"--alt": "iid:0.2,0.3,0.5", "--null": "categorical:nan,0.5,0.5"}):

@@ -24,6 +24,7 @@ from ctmkit import (
     markov_model,
 )
 from ctmkit import harness
+from ctmkit.cli import main
 from ctmkit.harness import (
     CSV_HEADER,
     _parse_null_spec,
@@ -165,14 +166,34 @@ class TestSimulate:
                 Path(cfg_b.out) / name
             ).read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg_a = _cfg(tmp_path / "serial", reps=6, horizon=8, jobs=1)
-        cfg_b = _cfg(tmp_path / "parallel", reps=6, horizon=8, jobs=2)
-        run_simulate(cfg_a)
-        run_simulate(cfg_b)
-        assert (Path(cfg_a.out) / "trajectory.csv").read_bytes() == (
-            Path(cfg_b.out) / "trajectory.csv"
-        ).read_bytes()
+    # one case per kind of object the config resolves; each one's config is
+    # pickled to the --jobs 2 workers, so an unpicklable object fails here
+    PARALLEL_CASES = {
+        "bernoulli": dict(null="bernoulli:0.3"),
+        "categorical": dict(null="categorical:0.2,0.3,0.5", alt="iid:0.2,0.3,0.5"),
+        "normal": dict(null="normal:1,2", measure="distmean", bettor="constant"),
+        "uniform": dict(null="uniform", bettor="density:{family}"),
+        "table": dict(alt="table:{table}", dgp="alt"),
+        "file": dict(dgp="file:{stream}"),
+        "tau_constant": dict(tau_mode="constant:0.5"),
+    }
+
+    @pytest.mark.parametrize("case", list(PARALLEL_CASES))
+    def test_parallel_matches_serial(self, tmp_path, case):
+        paths = {"family": tmp_path / "family.json", "table": tmp_path / "table.json",
+                 "stream": tmp_path / "stream.txt"}
+        paths["family"].write_text('{"1": [2.0, 0.0], "3": [0.5, 1.5]}', encoding="utf-8")
+        paths["table"].write_text(json.dumps({"alphabet_size": 2, "conditionals": {
+            "": [0.3, 0.7], "0": [0.9, 0.1], "1,1": [0.2, 0.8]}}), encoding="utf-8")
+        paths["stream"].write_text("1\n0\n0\n1\n1\n1\n0\n1\n0\n", encoding="utf-8")
+        overrides = {k: v.format(**paths) for k, v in self.PARALLEL_CASES[case].items()}
+        outs = []
+        for jobs in (1, 2):
+            cfg = _cfg(tmp_path / f"jobs{jobs}", reps=6, horizon=8, jobs=jobs, **overrides)
+            assert run_simulate(cfg)["ok"] is True
+            outs.append([(Path(cfg.out) / name).read_bytes()
+                         for name in ("trajectory.csv", "summary.json")])
+        assert outs[0] == outs[1]
 
     def test_mean_log_wealth_matches_oracle_under_own_model(self, tmp_path):
         cfg = _cfg(tmp_path, dgp="alt", reps=1500, horizon=6, seed=101)
@@ -199,7 +220,7 @@ class TestSimulate:
             assert a[:7] == b[:7]  # rep, n, z, tau, n_star, n_upper, p
             assert float(a[7]) == pytest.approx(float(b[7]), abs=1e-12)
 
-    def test_alternative_built_once_per_replicate(self, tmp_path, monkeypatch):
+    def test_alternative_built_once_per_command(self, tmp_path, monkeypatch):
         built = []
         build = harness.build_alternative
 
@@ -208,10 +229,44 @@ class TestSimulate:
             return build(spec)
 
         monkeypatch.setattr(harness, "build_alternative", counted)
-        cfg = _cfg(tmp_path, dgp="alt", reps=3, horizon=5)
+        assert run_simulate(_cfg(tmp_path / "api", dgp="alt", reps=3, horizon=5))["ok"] is True
+        assert len(built) == 1
         built.clear()
-        assert run_simulate(cfg)["ok"] is True
-        assert len(built) == 1 + 3  # the run's config check, then one per replicate
+        assert main(["simulate", "--seed", "77", "--horizon", "5", "--reps", "3",
+                     "--dgp", "alt", "--out", str(tmp_path / "cli")]) == 0
+        assert len(built) == 1
+
+    def test_input_files_read_once_per_command(self, tmp_path, monkeypatch):
+        family = tmp_path / "family.json"
+        family.write_text('{"2": [2.0, 0.0]}', encoding="utf-8")
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"alphabet_size": 2, "conditionals": {"": [0.4, 0.6]}}),
+                         encoding="utf-8")
+        stream = tmp_path / "data.txt"
+        stream.write_text("1\n0\n1\n1\n0\n", encoding="utf-8")
+        texts, streams = [], []
+        read_text, read_stream = Path.read_text, harness.read_observation_stream
+
+        def counted_text(path, *args, **kwargs):
+            texts.append(Path(path))
+            return read_text(path, *args, **kwargs)
+
+        def counted_stream(path):
+            streams.append(Path(path))
+            return read_stream(path)
+
+        monkeypatch.setattr(Path, "read_text", counted_text)
+        monkeypatch.setattr(harness, "read_observation_stream", counted_stream)
+        flags = dict(seed=77, horizon=5, reps=4, alt=f"table:{table}",
+                     bettor=f"density:{family}", dgp=f"file:{stream}")
+        assert run_simulate(ExperimentConfig.from_mapping(
+            {**flags, "out": str(tmp_path / "api")}))["ok"] is True
+        assert (texts.count(family), texts.count(table), streams) == (1, 1, [stream])
+        texts.clear()
+        streams.clear()
+        argv = [f"--{key}={value}" for key, value in flags.items()]
+        assert main(["simulate", *argv, "--out", str(tmp_path / "cli")]) == 0
+        assert (texts.count(family), texts.count(table), streams) == (1, 1, [stream])
 
     def test_file_dgp(self, tmp_path):
         stream = tmp_path / "data.txt"
@@ -358,6 +413,31 @@ class TestQuantile:
                     self._check(values)
         self._check([0.0, 0.0, math.inf, math.inf])
         self._check([7.0])
+
+
+class TestInputFileConfig:
+    """A missing, malformed or short ``file:`` input is a ConfigError naming
+    its field when the config is built, so no command writes anything."""
+
+    BAD = {"missing": None, "malformed": "1\n0\nx\n", "short": "1\n0\n", "empty": ""}
+
+    def _spec(self, tmp_path, kind):
+        path = tmp_path / "input.txt"
+        if self.BAD[kind] is not None:
+            path.write_text(self.BAD[kind], encoding="utf-8")
+        return f"file:{path}"
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_dgp_file(self, tmp_path, kind):
+        with pytest.raises(ConfigError, match="^dgp: "):
+            _cfg(tmp_path, horizon=3, dgp=self._spec(tmp_path, kind))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "malformed", "empty"])
+    def test_example1_file(self, tmp_path, kind):
+        with pytest.raises(ConfigError, match="^example1: "):
+            _cfg(tmp_path, alt="iid:0.5", horizon=3, example1=self._spec(tmp_path, kind))
+        assert not (tmp_path / "out").exists()
 
 
 class TestDensityBettorConfig:
