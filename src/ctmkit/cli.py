@@ -8,6 +8,7 @@ runtime errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,21 +22,7 @@ from .harness import (
     run_validate,
 )
 
-_FLAG_FIELDS = (
-    "seed",
-    "horizon",
-    "reps",
-    "null",
-    "alt",
-    "measure",
-    "bettor",
-    "dgp",
-    "tau_mode",
-    "out",
-    "rivals",
-    "example1",
-    "jobs",
-)
+_FLAG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 _RUNNERS = {
     "simulate": run_simulate,

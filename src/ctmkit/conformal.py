@@ -4,9 +4,12 @@ The p-value transducer turns an observation stream into a stream of
 unit-interval values that are iid uniform whenever the observations are
 exchangeable.  At step n the whole window seen so far is re-scored with a
 bag-symmetric conformity measure, the newest score is ranked within the
-window, and rank ties are broken by an external uniform draw:
+window, and rank ties are broken by an external uniform draw tau_n:
 
     p_n = (#{i : score_i < score_n} + tau_n * #{i : score_i = score_n}) / n
+
+:func:`ctm_run` takes the draws as one array and records each step as one
+flat :class:`StepRecord`.
 
 Everything downstream (betting, optimality certificates) consumes only the
 p-values, so this module is the single place where raw observations are
@@ -17,9 +20,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,11 +29,7 @@ __all__ = [
     "ConformityMeasure",
     "IdentityMeasure",
     "DistanceToMeanMeasure",
-    "PValueRecord",
-    "TauSource",
-    "UniformTauSource",
-    "ConstantTauSource",
-    "TrajectoryStep",
+    "StepRecord",
     "score_window",
     "tie_counts",
     "pvalue_step",
@@ -138,22 +136,19 @@ def tie_counts(scores) -> tuple[int, int]:
     return n_star, n_upper
 
 
-@dataclass(frozen=True)
-class PValueRecord:
-    """Audit record for one conformal p-value.
+class StepRecord(NamedTuple):
+    """One step of a run.  :func:`pvalue_step` fills the rank counts and ``p``,
+    which lies in ``[n_star/n, n_upper/n]`` and, given the window, is uniform
+    there; :func:`ctm_run` adds the bettor's ``factor`` and ``log_wealth``."""
 
-    ``p`` always lies in ``[n_star/n, n_upper/n]``; given the window it is
-    uniform on that interval, which is what the betting side banks on.
-    """
-
-    n: int
     n_star: int
     n_upper: int
-    tau: float
     p: float
+    factor: float = math.nan
+    log_wealth: float = math.nan
 
 
-def pvalue_step(scores, tau: float) -> PValueRecord:
+def pvalue_step(scores, tau: float) -> StepRecord:
     """Turn the current window's scores plus one tie-breaking draw into a p-value."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
@@ -163,69 +158,23 @@ def pvalue_step(scores, tau: float) -> PValueRecord:
     if not n_star < n_upper:
         raise ValueError(f"the newest score must tie with itself, got ranks {n_star}, {n_upper}")
     p = (n_star + tau * (n_upper - n_star)) / n
-    return PValueRecord(n=n, n_star=n_star, n_upper=n_upper, tau=float(tau), p=float(p))
+    return StepRecord(n_star, n_upper, float(p))
 
 
-class TauSource(ABC):
-    """Stream of tie-breaking draws, kept separate from the data stream."""
-
-    @abstractmethod
-    def draw(self) -> float:
-        """Next tie-breaking value in [0, 1]."""
-
-
-class UniformTauSource(TauSource):
-    """Seeded uniform stream; the only source that preserves validity."""
-
-    def __init__(self, seed):
-        if isinstance(seed, np.random.Generator):
-            self._rng = seed
-        else:
-            self._rng = np.random.default_rng(seed)
-
-    def draw(self) -> float:
-        return float(self._rng.random())
-
-
-class ConstantTauSource(TauSource):
-    """Degenerate stream.
-
-    Using a constant tau breaks the uniformity guarantee of the p-values.
-    This source exists so the harness can demonstrate that such misuse is
-    caught by the validity suite, not so anyone should run it in earnest.
-    """
-
-    def __init__(self, value: float):
-        if not 0.0 <= float(value) <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {value}")
-        self._value = float(value)
-
-    def draw(self) -> float:
-        return self._value
-
-
-@dataclass(frozen=True)
-class TrajectoryStep:
-    """One step of a conformal test martingale run."""
-
-    record: PValueRecord
-    observation: float
-    factor: float
-    wealth: float
-    log_wealth: float
-
-
-def ctm_run(data, measure: ConformityMeasure, bettor, taus: TauSource, horizon: int):
+def ctm_run(data, measure: ConformityMeasure, bettor, taus, horizon: int) -> list:
     """Run a conformal test martingale for ``horizon`` steps.
 
-    ``bettor`` is any ``BettingMartingale``; it sees only the p-values.  The
-    returned trajectory has one entry per step; wealth starts at 1 before the
-    first step.  The first ``horizon`` observations are converted to floats
-    and checked for finiteness once, before any step; the step-n window is a
-    view of their first n.  The whole window is re-scored at every step, so a
-    step-n update costs one measure evaluation on n points.  Each step calls
-    this module's ``score_window`` and ``pvalue_step`` (looked up at call
-    time, so a profiler can wrap them), then ``bettor.update``.
+    ``bettor`` is any ``BettingMartingale``; it sees only the p-values.
+    ``taus`` holds one tie-breaking draw per step; only uniform draws, such
+    as ``rng.random(horizon)``, keep the p-values valid.  The returned
+    trajectory has one :class:`StepRecord` per step; wealth starts at 1
+    before the first step.  The first ``horizon`` observations are converted
+    to floats and checked for finiteness, and the first ``horizon`` draws
+    checked to lie in [0, 1], once, before any step; the step-n window is a
+    view of the first n observations.  The whole window is re-scored at every
+    step, so a step-n update costs one measure evaluation on n points.  Each
+    step calls this module's ``score_window`` and ``pvalue_step`` (looked up
+    at call time, so a profiler can wrap them), then ``bettor.update``.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -234,6 +183,10 @@ def ctm_run(data, measure: ConformityMeasure, bettor, taus: TauSource, horizon: 
         raise ValueError(
             f"observation stream too short: run needs {horizon} values, got {len(seq)}"
         )
+    if len(taus) < horizon:
+        raise ValueError(
+            f"tie-breaking stream too short: run needs {horizon} values, got {len(taus)}"
+        )
     if bettor.steps_taken != 0:
         raise ValueError("bettor has already been stepped; use a fresh instance")
     window = np.array(seq[:horizon], dtype=float)
@@ -241,20 +194,17 @@ def ctm_run(data, measure: ConformityMeasure, bettor, taus: TauSource, horizon: 
     if not np.logical_and.reduce(finite):
         n = int(finite.argmin()) + 1
         raise ValueError(f"observation at position {n} is not finite: {seq[n - 1]!r}")
+    tau = np.array(taus[:horizon], dtype=float)
+    inside = (tau >= 0.0) & (tau <= 1.0)
+    if not np.logical_and.reduce(inside):
+        n = int(inside.argmin()) + 1
+        raise ValueError(f"tau at position {n} must lie in [0, 1], got {float(tau[n - 1])}")
     out = []
-    for n, z in enumerate(window.tolist(), start=1):
+    for n, t in enumerate(tau.tolist(), start=1):
         scores = score_window(measure, window[:n])
-        rec = pvalue_step(scores, taus.draw())
+        rec = pvalue_step(scores, t)
         factor = bettor.update(rec.p)
-        out.append(
-            TrajectoryStep(
-                record=rec,
-                observation=z,
-                factor=factor,
-                wealth=bettor.wealth,
-                log_wealth=bettor.log_wealth,
-            )
-        )
+        out.append(StepRecord(rec.n_star, rec.n_upper, rec.p, factor, bettor.log_wealth))
     return out
 
 

@@ -24,16 +24,9 @@ import numpy as np
 import numpy.random  # every command's first act is `substream`: load it with the imports
 
 from . import oracle as _oracle
-from .bayes_kelly import BayesKellyBettor, CollapsedBayesKellyBettor, bayes_kelly_bettor
+from .bayes_kelly import BayesKellyBettor, bayes_kelly_bettor
 from .betting import ConstantBettor, ShrunkAlternativeBettor, linear_from_log
-from .conformal import (
-    ConstantTauSource,
-    DistanceToMeanMeasure,
-    IdentityMeasure,
-    UniformTauSource,
-    ctm_run,
-    read_observation_stream,
-)
+from .conformal import DistanceToMeanMeasure, IdentityMeasure, ctm_run, read_observation_stream
 from .eprocess import example_distinct_report, log_ml_sup
 from .models import TableModel, changepoint_model, iid_model, markov_model, PointMassModel
 
@@ -62,8 +55,9 @@ class ExperimentConfig:
     Every spec is parsed and every input file read here, once, before a
     command writes anything; all problems are reported together, each naming
     its field.  The built objects are plain attributes, not fields: ``model``,
-    ``conformity`` (the measure), ``null_sampler``, ``tau`` (None: uniform),
-    and ``density_family``, ``observations`` (``--dgp file:``) and
+    ``conformity`` (the measure), ``null_sampler``, ``null_top`` (the largest
+    symbol the null can draw; None for a real-valued null), ``tau`` (None:
+    uniform), and ``density_family``, ``observations`` (``--dgp file:``) and
     ``example1_values``, each None when not given.  They pickle with the
     config, so a ``--jobs`` worker parses nothing again.
     """
@@ -120,7 +114,7 @@ class ExperimentConfig:
 
         self.conformity = build("measure", build_measure)
         self.model = build("alt", build_alternative)
-        self.null_sampler = build("null", _parse_null_spec)
+        self.null_sampler, self.null_top = build("null", _parse_null_spec) or (None, None)
         stream = self.observations = build("dgp", _load_values, "dgp", ("null", "alt"))
         if stream is not None and isinstance(self.horizon, int) and stream.size < self.horizon:
             problems.append(f"dgp: observation stream has {stream.size} values, "
@@ -200,9 +194,12 @@ def _sample_bernoulli(theta, rng, n):
     return (rng.random(n) < theta).astype(np.int64)
 
 
+def _categorical_symbol(cum, u):
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
 def _sample_categorical(cum, rng, n):
-    index = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(index, cum.size - 1).astype(np.int64)
+    return _categorical_symbol(cum, rng.random(n)).astype(np.int64)
 
 
 def _sample_normal(mu, sigma, rng, n):
@@ -214,19 +211,23 @@ def _sample_uniform(rng, n):
 
 
 def _parse_null_spec(spec: str):
-    """The ``--null`` sampler, called as ``sampler(rng, n)``: a module-level
+    """The ``--null`` sampler, called as ``sampler(rng, n)``, and the largest
+    symbol it can draw (None if real-valued).  The sampler is a module-level
     function, bound with ``partial``, so that a resolved config pickles."""
     kind, _, rest = spec.partition(":")
     if kind == "bernoulli":
         args = _floats(rest, "null")
         if len(args) != 1 or not 0.0 <= args[0] <= 1.0:
             raise ConfigError(f"null: bernoulli takes one probability, got {rest!r}")
-        return partial(_sample_bernoulli, args[0])
+        return partial(_sample_bernoulli, args[0]), int(args[0] > 0.0)
     if kind == "categorical":
         probs = np.asarray(_floats(rest, "null"), dtype=float)
         if probs.size < 2 or np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ConfigError(f"null: categorical needs probabilities summing to 1, got {rest!r}")
-        return partial(_sample_categorical, np.cumsum(probs))
+        cum = np.cumsum(probs)
+        # symbols grow with the uniform draw, so the largest comes from the
+        # largest value Generator.random returns
+        return partial(_sample_categorical, cum), int(_categorical_symbol(cum, 1.0 - 2.0**-53))
     if kind == "normal":
         args = _floats(rest, "null") if rest else []
         if len(args) not in (0, 2):
@@ -234,9 +235,9 @@ def _parse_null_spec(spec: str):
         mu, sigma = args or (0.0, 1.0)
         if sigma <= 0:
             raise ConfigError(f"null: normal sigma must be positive, got {sigma}")
-        return partial(_sample_normal, mu, sigma)
+        return partial(_sample_normal, mu, sigma), None
     if spec == "uniform":
-        return _sample_uniform
+        return _sample_uniform, None
     raise ConfigError(f"null: must be bernoulli/categorical/normal/uniform, got {spec!r}")
 
 
@@ -323,32 +324,47 @@ def _replicate_data(cfg: ExperimentConfig, rng: np.random.Generator):
     return cfg.observations
 
 
+def _check_bettor_data(cfg: ExperimentConfig) -> None:
+    """Refuse, before any replicate or output, data a Bayes-Kelly bettor cannot
+    bet on: real values, or symbols outside the alternative's alphabet (which
+    data sampled from the alternative never holds)."""
+    if cfg.bettor.partition(":")[0] not in ("bayes_kelly", "bayes_kelly_full") or cfg.dgp == "alt":
+        return
+    if cfg.dgp == "null":
+        low, top = 0, cfg.null_top
+    elif np.issubdtype(cfg.observations.dtype, np.integer):
+        low, top = int(cfg.observations.min()), int(cfg.observations.max())
+    else:
+        top = None
+    if top is None:
+        raise ConfigError(
+            "bayes_kelly betting needs finite-alphabet integer observations; "
+            "got real-valued data"
+        )
+    if low < 0 or top >= cfg.model.alphabet_size:
+        raise ConfigError(
+            f"observations outside the alternative's alphabet [0, {cfg.model.alphabet_size})"
+        )
+
+
 def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
     data_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 0)
     tau_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 1)
-    bettor, model, measure = build_bettor(cfg)
+    bettor, _, measure = build_bettor(cfg)
     data = _replicate_data(cfg, data_rng)
-    if isinstance(bettor, (BayesKellyBettor, CollapsedBayesKellyBettor)):
-        if not np.issubdtype(np.asarray(data).dtype, np.integer):
-            raise ValueError(
-                "bayes_kelly betting needs finite-alphabet integer observations; "
-                "got real-valued data"
-            )
-        if data.size and (int(data.min()) < 0 or int(data.max()) >= model.alphabet_size):
-            raise ValueError(
-                f"observations outside the alternative's alphabet [0, {model.alphabet_size})"
-            )
-    taus = UniformTauSource(tau_rng) if cfg.tau is None else ConstantTauSource(cfg.tau)
+    taus = tau_rng.random(cfg.horizon) if cfg.tau is None else np.full(cfg.horizon, cfg.tau)
     steps = ctm_run(data, measure, bettor, taus, cfg.horizon)
-    n = len(steps)
+    # one buffer per column: validate keeps every replicate's p, and a view
+    # would keep the whole step array alive with it
+    n_star, n_upper, p, factor, log_wealth = map(np.ascontiguousarray, np.array(steps).T)
     return {
-        "z": np.asarray(data[:n]),
-        "tau": np.array([s.record.tau for s in steps]),
-        "n_star": np.array([s.record.n_star for s in steps], dtype=np.int64),
-        "n_upper": np.array([s.record.n_upper for s in steps], dtype=np.int64),
-        "p": np.array([s.record.p for s in steps]),
-        "factor": np.array([s.factor for s in steps]),
-        "log_wealth": np.array([s.log_wealth for s in steps]),
+        "z": np.asarray(data[: cfg.horizon]),
+        "tau": taus,
+        "n_star": n_star,
+        "n_upper": n_upper,
+        "p": p,
+        "factor": factor,
+        "log_wealth": log_wealth,
     }
 
 
@@ -480,6 +496,7 @@ def audit_trajectory(path) -> dict:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Simulate replicate trajectories; write trajectory.csv and summary.json."""
+    _check_bettor_data(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.csv"
@@ -598,6 +615,7 @@ def run_validate(cfg: ExperimentConfig) -> dict:
         )
     if cfg.dgp != "null":
         raise ConfigError("dgp: validation runs under the configured null; set dgp to null")
+    _check_bettor_data(cfg)
     pooled = []
     lag_first = []
     lag_second = []

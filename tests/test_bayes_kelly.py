@@ -10,7 +10,6 @@ from ctmkit import (
     BayesKellyBettor,
     CollapsedBayesKellyBettor,
     ConstantBettor,
-    ConstantTauSource,
     DistanceToMeanMeasure,
     HiddenStateModel,
     HypothesisSet,
@@ -382,8 +381,8 @@ class TestCollapsedBits:
 def _grid_pvalues(data, tau):
     """The transducer's p-values at a constant tau: with tau 0 or 1 each is
     exactly n_star/n or n_upper/n."""
-    steps = ctm_run(data, IdentityMeasure(), ConstantBettor(), ConstantTauSource(tau), len(data))
-    return [s.record.p for s in steps]
+    steps = ctm_run(data, IdentityMeasure(), ConstantBettor(), np.full(len(data), tau), len(data))
+    return [s.p for s in steps]
 
 
 class TestGridPValues:

@@ -99,6 +99,20 @@ class TestExitCodes:
         assert "density" in capsys.readouterr().err
         assert not (tmp_path / "run" / "trajectory.csv").exists()
 
+    def test_data_bettor_mismatch_is_one_and_writes_nothing(self, tmp_path, capsys):
+        runs = [
+            ({"--null": "normal"}, "bayes_kelly betting needs finite-alphabet integer "
+                                   "observations; got real-valued data"),
+            ({"--null": "categorical:0.2,0.3,0.5"},
+             "observations outside the alternative's alphabet [0, 2)"),
+        ]
+        for flags, message in runs:
+            argv = _simulate_args(tmp_path / "run", **{"--seed": "1", "--horizon": "5",
+                                                       "--reps": "2", **flags})
+            assert main(["simulate", *argv]) == 1
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     def test_bad_input_file_is_one_and_writes_nothing(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0.5\nnot-a-number\n", encoding="utf-8")

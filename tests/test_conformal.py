@@ -5,11 +5,9 @@ import pytest
 
 from ctmkit import (
     ConstantBettor,
-    ConstantTauSource,
     DistanceToMeanMeasure,
     IdentityMeasure,
     PointMassModel,
-    UniformTauSource,
     bayes_kelly_bettor,
     bk_factor_sequences,
     cell_tree,
@@ -19,6 +17,7 @@ from ctmkit import (
     score_window,
     tie_counts,
 )
+from ctmkit.betting import linear_from_log
 from ctmkit.conformal import ConformityMeasure
 
 
@@ -103,7 +102,8 @@ class TestPValueStep:
         for _ in range(300):
             scores = rng.integers(0, 4, size=rng.integers(1, 10)).astype(float)
             rec = pvalue_step(scores, float(rng.random()))
-            assert rec.n_star / rec.n <= rec.p <= rec.n_upper / rec.n
+            n = scores.size
+            assert rec.n_star / n <= rec.p <= rec.n_upper / n
             assert 0.0 <= rec.p <= 1.0
 
     def test_permutation_invariance(self):
@@ -122,52 +122,67 @@ class TestPValueStep:
                 )
 
 
-class TestTauSources:
-    def test_uniform_source_reproducible(self):
-        a = UniformTauSource(9)
-        b = UniformTauSource(9)
-        assert [a.draw() for _ in range(5)] == [b.draw() for _ in range(5)]
-
-    def test_constant_source(self):
-        src = ConstantTauSource(0.5)
-        assert [src.draw() for _ in range(3)] == [0.5, 0.5, 0.5]
-
-    def test_constant_source_range_checked(self):
-        with pytest.raises(ValueError):
-            ConstantTauSource(1.5)
+class TestTauDraws:
+    def test_batch_matches_scalar_draws(self):
+        # the harness draws a replicate's tie-breakers as one rng.random(horizon),
+        # which must be the stream of one scalar draw per step, bit for bit
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in (0, 1, 7, 50, 1000):
+                assert got_rng.random(n).tolist() == [want_rng.random() for _ in range(n)]
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestCtmRun:
     def test_horizon_zero(self):
         bettor = ConstantBettor()
-        assert ctm_run([], IdentityMeasure(), bettor, ConstantTauSource(0.5), 0) == []
+        assert ctm_run([], IdentityMeasure(), bettor, [], 0) == []
         assert bettor.wealth == 1.0
 
     def test_constant_bettor_unit_wealth(self):
         data = [1, 0, 1, 1, 0]
-        steps = ctm_run(data, IdentityMeasure(), ConstantBettor(), UniformTauSource(5), 5)
-        assert [s.wealth for s in steps] == [1.0] * 5
+        taus = np.random.default_rng(5).random(5)
+        steps = ctm_run(data, IdentityMeasure(), ConstantBettor(), taus, 5)
+        assert [linear_from_log(s.log_wealth) for s in steps] == [1.0] * 5
         assert [s.factor for s in steps] == [1.0] * 5
 
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError, match="needs 5 values, got 3"):
-            ctm_run([1, 0, 1], IdentityMeasure(), ConstantBettor(), ConstantTauSource(0.0), 5)
+            ctm_run([1, 0, 1], IdentityMeasure(), ConstantBettor(), np.zeros(5), 5)
+
+    def test_short_tau_stream_rejected(self):
+        bettor = ConstantBettor()
+        with pytest.raises(ValueError, match="tie-breaking stream too short: run needs 4 values, "
+                                             "got 3"):
+            ctm_run([1, 0, 1, 1], IdentityMeasure(), bettor, [0.5, 0.5, 0.5], 4)
+        assert bettor.steps_taken == 0
+
+    def test_tau_outside_unit_interval_rejected_before_any_step(self):
+        for bad, shown in ((1.5, "1.5"), (-0.25, "-0.25"), (math.nan, "nan")):
+            bettor = ConstantBettor()
+            with pytest.raises(ValueError, match=f"tau at position 3 must lie in .0, 1., "
+                                                 f"got {shown}"):
+                ctm_run([1, 0, 1, 1], IdentityMeasure(), bettor, [0.0, 1.0, bad, 0.5], 4)
+            assert bettor.steps_taken == 0
+        # draws past the horizon are not read
+        steps = ctm_run([1, 0], IdentityMeasure(), ConstantBettor(), [0.5, 0.5, 7.0], 2)
+        assert [s.p for s in steps] == [0.5, 0.25]
 
     def test_non_finite_observation_rejected_before_any_step(self):
         bettor = ConstantBettor()
         with pytest.raises(ValueError, match="position 3 is not finite: nan"):
-            ctm_run([1, 0, math.nan, 1], IdentityMeasure(), bettor, ConstantTauSource(0.5), 4)
+            ctm_run([1, 0, math.nan, 1], IdentityMeasure(), bettor, np.full(4, 0.5), 4)
         assert bettor.steps_taken == 0
-        # values past the horizon are not read
+        # values past the horizon are not read: the p-values rank 1, then 0
         steps = ctm_run([1, 0, math.inf], IdentityMeasure(), ConstantBettor(),
-                        ConstantTauSource(0.5), 2)
-        assert [s.observation for s in steps] == [1.0, 0.0]
+                        np.full(3, 0.5), 2)
+        assert [s.p for s in steps] == [0.5, 0.25]
 
     def test_used_bettor_rejected(self):
         bettor = ConstantBettor()
-        ctm_run([1], IdentityMeasure(), bettor, ConstantTauSource(0.5), 1)
+        ctm_run([1], IdentityMeasure(), bettor, [0.5], 1)
         with pytest.raises(ValueError, match="fresh"):
-            ctm_run([1], IdentityMeasure(), bettor, ConstantTauSource(0.5), 1)
+            ctm_run([1], IdentityMeasure(), bettor, [0.5], 1)
 
     def test_deterministic_repeat(self):
         data = np.random.default_rng(6).integers(0, 2, 12)
@@ -176,9 +191,9 @@ class TestCtmRun:
             model = PointMassModel([1, 0, 1], alphabet_size=2)
             steps = ctm_run(
                 data, IdentityMeasure(), bayes_kelly_bettor(model, IdentityMeasure()),
-                UniformTauSource(7), 12,
+                np.random.default_rng(7).random(12), 12,
             )
-            runs.append([(s.record.p, s.factor, s.log_wealth) for s in steps])
+            runs.append([(s.p, s.factor, s.log_wealth) for s in steps])
         assert runs[0] == runs[1]
 
     def test_pointmass_wealth_matches_oracle_cell(self):
@@ -187,15 +202,16 @@ class TestCtmRun:
         data = [1, 0, 1, 1]
         measure = IdentityMeasure()
         model = PointMassModel(data, alphabet_size=2)
-        steps = ctm_run(data, measure, bayes_kelly_bettor(model, measure),
-                        UniformTauSource(11), 4)
+        bettor = bayes_kelly_bettor(model, measure)
+        steps = ctm_run(data, measure, bettor, np.random.default_rng(11).random(4), 4)
         cells = cell_tree(model, measure, 4)
         intervals = tuple(
-            min(int(s.record.p * n), n - 1) for n, s in enumerate(steps, start=1)
+            min(int(s.p * n), n - 1) for n, s in enumerate(steps, start=1)
         )
         (match,) = [c for c in cells if c.intervals == intervals]
         factors = bk_factor_sequences(cells)[cells.index(match)]
-        assert steps[-1].wealth == pytest.approx(math.prod(factors), rel=1e-12)
+        assert bettor.wealth == pytest.approx(math.prod(factors), rel=1e-12)
+        assert linear_from_log(steps[-1].log_wealth) == bettor.wealth
 
 
 class TestObservationStream:

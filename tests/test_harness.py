@@ -287,6 +287,37 @@ class TestSimulate:
                    bettor="constant")
         assert run_simulate(cfg)["ok"] is True
 
+    def test_bettor_data_mismatch_found_before_any_output(self, tmp_path):
+        reals = tmp_path / "reals.txt"
+        reals.write_text("1\n0\n0.5\n", encoding="utf-8")
+        symbols = tmp_path / "symbols.txt"
+        symbols.write_text("1\n0\n1\n2\n", encoding="utf-8")
+        for overrides, message in (
+            (dict(null="uniform"), "integer observations"),
+            (dict(null="normal", bettor="bayes_kelly_full"), "integer observations"),
+            (dict(dgp=f"file:{reals}", horizon=2), "integer observations"),
+            (dict(null="categorical:0.2,0.3,0.5"), r"alphabet \[0, 2\)"),
+            # a value past the horizon is still part of the loaded stream
+            (dict(dgp=f"file:{symbols}", horizon=3), r"alphabet \[0, 2\)"),
+        ):
+            for runner in (run_simulate, run_validate):
+                if runner is run_validate and "dgp" in overrides:
+                    continue
+                cfg = _cfg(tmp_path, reps=200, **overrides)
+                with pytest.raises(ConfigError, match=message):
+                    runner(cfg)
+                assert not Path(cfg.out).exists()
+
+    def test_null_draws_only_positive_probability_symbols(self, tmp_path):
+        # a zero-probability third symbol is never drawn, so a binary
+        # alternative can bet on this null
+        for null in ("categorical:0.5,0.5,0", "bernoulli:0", "bernoulli:1"):
+            assert run_simulate(_cfg(tmp_path, null=null, reps=2, horizon=5))["ok"] is True
+        assert _parse_null_spec("categorical:0.5,0.5,0")[1] == 1
+        assert _parse_null_spec("categorical:0,0,1")[1] == 2
+        assert _parse_null_spec("bernoulli:0")[1] == 0
+        assert _parse_null_spec("normal")[1] is None
+
 
 class TestAudit:
     def test_detects_corrupted_wealth(self, tmp_path):

@@ -11,7 +11,6 @@ from ctmkit import (
     HiddenStateModel,
     PointMassModel,
     TableModel,
-    UniformTauSource,
     changepoint_model,
     ctm_run,
     iid_model,
@@ -437,7 +436,7 @@ class TestForwardStateBitIdentity:
         for seed in range(4):
             data = model.sample(12, np.random.default_rng(seed))
             bettor = BayesKellyBettor(model, DistanceToMeanMeasure())
-            ctm_run(data, DistanceToMeanMeasure(), bettor, UniformTauSource(seed), 12)
+            ctm_run(data, DistanceToMeanMeasure(), bettor, np.random.default_rng(seed).random(12), 12)
         assert len(seen) == 4 * 12
         assert max(len(prefixes) for prefixes, _ in seen) > 20
         for prefixes, got in seen:
