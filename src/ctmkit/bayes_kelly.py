@@ -22,10 +22,12 @@ It keeps the candidates' normalised weights and the log of the mass
 normalised away, and once that mass hits zero it is dead and bets the
 uniform density for good.  ``BayesKellyBettor`` holds the candidates
 explicitly and works for any finite alphabet and conformity measure at cost
-``alphabet**step`` (desk scale: up to about a million candidates); each step
-asks the model for all candidates' conditionals in one ``conditional_batch``
-call, which a hidden-state model answers with one batched forward step per
-prefix depth.  ``CollapsedBayesKellyBettor`` takes a binary
+``alphabet**step`` (desk scale: up to about a million candidates).  It
+carries each candidate's forward state beside its prefix, so each step asks
+the model for all candidates' conditionals in one ``conditional_batch`` call
+on those states (one ``probs_batch``) and advances the kept children in one
+``advance_batch`` call, instead of re-walking the candidates' prefix tree
+from the root.  ``CollapsedBayesKellyBettor`` takes a binary
 ``HiddenStateModel`` with the identity measure, and nothing else, at
 polynomial cost by collapsing candidates onto (ones count, hidden state),
 which is all that identity ranks and a hidden-state alternative can see of
@@ -87,14 +89,18 @@ class HypothesisSet:
     """Weighted candidate prefixes after some number of steps.
 
     ``prefixes`` is a ``(count, step)`` int16 array of distinct candidate
-    sequences; ``weights`` their finite, nonnegative float masses.  Sets are
-    built by the engine (``root``, ``extend`` and the explicit bettor), which
-    is what keeps those properties; they are not re-checked here.
+    sequences; ``weights`` their finite, nonnegative float masses; ``states``
+    the model's forward states after them, rows of an ``advance_batch``
+    result aligned with ``prefixes``, or None at the root, where every
+    candidate is the empty prefix.  Sets are built by the engine (``root``,
+    ``extend`` and the explicit bettor), which is what keeps those
+    properties; they are not re-checked here.
     """
 
     step: int
     prefixes: np.ndarray
     weights: np.ndarray
+    states: np.ndarray | None = None
 
     @classmethod
     def root(cls) -> "HypothesisSet":
@@ -111,26 +117,32 @@ class HypothesisSet:
 def extend(hset: HypothesisSet, model: AlternativeModel) -> HypothesisSet:
     """Extend every candidate by every symbol, weighted by the conditional law.
 
-    The model's batch of conditionals must be ``(count, alphabet)``, finite
-    and nonnegative.  Children with exactly zero weight are dropped, which
-    keeps degenerate alternatives (point masses, structural zeros) cheap.
+    The conditionals come from the candidates' forward states, and the kept
+    children's states from one ``advance_batch`` call on them.  The model's
+    batch of conditionals must be ``(count, alphabet)``, finite and
+    nonnegative.  Children with exactly zero weight are dropped, which keeps
+    degenerate alternatives (point masses, structural zeros) cheap.
     """
     count = len(hset)
     if count == 0:
         raise ValueError("cannot extend an empty hypothesis set")
+    if hset.states is None and hset.step:
+        raise ValueError("a hypothesis set past the root needs its forward states")
     m = model.alphabet_size
-    probs = np.asarray(model.conditional_batch(hset.prefixes), dtype=float)
+    probs = np.asarray(model.conditional_batch(hset.prefixes, hset.states), dtype=float)
     if probs.shape != (count, m):
         raise ValueError(f"conditional batch returned {probs.shape}, expected {(count, m)}")
     # min and max are NaN when any entry is, which fails both tests
     if not (probs.min() >= 0.0 and probs.max() < math.inf):
         raise ValueError("conditional batch must be finite and nonnegative")
     child_w = (hset.weights[:, None] * probs).ravel()
-    reps = np.repeat(hset.prefixes, m, axis=0)
-    syms = np.tile(np.arange(m, dtype=_PREFIX_DTYPE), count)[:, None]
-    child_prefixes = np.concatenate([reps, syms], axis=1)
-    keep = child_w > 0.0
-    return HypothesisSet(hset.step + 1, child_prefixes[keep], child_w[keep])
+    kept = np.flatnonzero(child_w > 0.0)
+    parent, syms = np.divmod(kept, m)
+    syms = syms.astype(_PREFIX_DTYPE)
+    child_prefixes = np.concatenate([hset.prefixes[parent], syms[:, None]], axis=1)
+    parents = [model.start()] * kept.size if hset.states is None else hset.states[parent]
+    states = model.advance_batch(parents, syms)
+    return HypothesisSet(hset.step + 1, child_prefixes, child_w[kept], states)
 
 
 def _rank_stats(prefixes: np.ndarray, measure: ConformityMeasure):
@@ -241,15 +253,17 @@ class BayesKellyBettor(_BayesKelly):
         new_w = np.where(alive, ext.weights / k, 0.0)
         mass = float(new_w.sum())
         keep = new_w > 0.0  # all False at zero mass, leaving an empty set
-        self._hset = HypothesisSet(ext.step, ext.prefixes[keep], new_w[keep] / mass)
+        self._hset = HypothesisSet(ext.step, ext.prefixes[keep], new_w[keep] / mass,
+                                   ext.states[keep])
         return mass
 
     @property
     def hypothesis_set(self) -> HypothesisSet:
         """Candidate set with absolute weights (Q-mass times tie corrections)."""
+        hset = self._hset
         return HypothesisSet(
-            self._hset.step, self._hset.prefixes.copy(),
-            self._hset.weights * math.exp(self._log_mass),
+            hset.step, hset.prefixes.copy(), hset.weights * math.exp(self._log_mass),
+            None if hset.states is None else hset.states.copy(),
         )
 
 

@@ -194,12 +194,15 @@ def _sample_bernoulli(theta, rng, n):
     return (rng.random(n) < theta).astype(np.int64)
 
 
-def _categorical_symbol(cum, u):
-    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+def _categorical_symbol(cum, top, u):
+    """Symbol of uniform ``u``, clipped to ``top``, the last symbol of
+    positive probability: a cumulative sum that ends short of 1 must not
+    hand the draws above it to a zero-probability symbol."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), top)
 
 
-def _sample_categorical(cum, rng, n):
-    return _categorical_symbol(cum, rng.random(n)).astype(np.int64)
+def _sample_categorical(cum, top, rng, n):
+    return _categorical_symbol(cum, top, rng.random(n)).astype(np.int64)
 
 
 def _sample_normal(mu, sigma, rng, n):
@@ -225,9 +228,11 @@ def _parse_null_spec(spec: str):
         if probs.size < 2 or np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ConfigError(f"null: categorical needs probabilities summing to 1, got {rest!r}")
         cum = np.cumsum(probs)
+        top = int(np.flatnonzero(probs > 0.0)[-1])
         # symbols grow with the uniform draw, so the largest comes from the
         # largest value Generator.random returns
-        return partial(_sample_categorical, cum), int(_categorical_symbol(cum, 1.0 - 2.0**-53))
+        return (partial(_sample_categorical, cum, top),
+                int(_categorical_symbol(cum, top, 1.0 - 2.0**-53)))
     if kind == "normal":
         args = _floats(rest, "null") if rest else []
         if len(args) not in (0, 2):

@@ -5,8 +5,8 @@ prefix observed so far; that is all the betting engine and the verification
 oracle ever ask of it.  Models are horizon-free: the run length is a runtime
 parameter, never a model parameter.
 
-Sequential callers (sampling, sequence probabilities, the e-process, batched
-conditionals) go through a forward-state interface instead of handing over
+Sequential callers (sampling, sequence probabilities, the e-process, the
+explicit betting engine) go through a forward-state interface instead of handing over
 ever longer prefixes: ``start()`` gives the state before any symbol,
 ``advance(state, z)`` the state after one more symbol, and ``probs(state)``
 the next-symbol law.  The default state is the prefix itself, so a custom
@@ -16,10 +16,12 @@ methods and every caller becomes O(N).
 
 The same step comes batched over many rows, ``advance_batch(states,
 symbols)`` and ``probs_batch(states)``; by default they loop over the scalar
-methods.  Batched conditionals walk the rows' prefix tree level by level,
-one ``advance_batch`` per depth, so a model that steps many states in one
-array operation serves the explicit betting engine's candidates in O(depth)
-calls rather than one call per tree edge.
+methods.  The explicit betting engine carries each candidate's forward state
+beside its prefix, so every bet costs one ``probs_batch`` call for the
+candidates' conditionals and one ``advance_batch`` call for their children,
+whatever the step.  A caller holding prefixes alone gets batched
+conditionals from ``conditional_batch(prefixes)``, which walks the rows'
+prefix tree level by level, one ``advance_batch`` per depth.
 
 The changepoint, first-order Markov and iid alternatives are instances of
 one :class:`HiddenStateModel`, a tiny hidden-state chain over any alphabet
@@ -103,8 +105,9 @@ class AlternativeModel(ABC):
         """Forward states after one more symbol, one row per state.
 
         ``states`` is a list of forward states or rows taken from an earlier
-        :meth:`advance_batch` result; the result must support integer-array
-        indexing.  The default calls :meth:`advance` row by row.
+        :meth:`advance_batch` result; the result must support integer- and
+        boolean-array indexing.  The default calls :meth:`advance` row by
+        row.
         """
         out = np.empty(len(symbols), dtype=object)
         for i, (state, z) in enumerate(zip(states, symbols.tolist())):
@@ -118,19 +121,24 @@ class AlternativeModel(ABC):
         """
         return np.stack([self.probs(state) for state in states])
 
-    def conditional_batch(self, prefixes: np.ndarray) -> np.ndarray:
+    def conditional_batch(self, prefixes: np.ndarray, states=None) -> np.ndarray:
         """Conditionals for many prefixes at once, one per row.
 
-        The default walks the rows' prefix tree level by level, taking
-        neighbouring rows that agree on their first j symbols to share a
-        node at depth j.  At each depth, the rows that open a new node are
-        advanced from their parents' states in one :meth:`advance_batch`
-        call, and the leaves go through one :meth:`probs_batch` call.
-        Lexicographically grouped rows, such as the explicit engine's
-        candidates, thus cost one forward step per edge of their prefix
-        tree, taken in ``width`` batched calls.  Table-backed models
-        override this with vectorized indexing.
+        ``states``, when given, holds the rows' forward states, aligned with
+        ``prefixes`` (rows of an :meth:`advance_batch` result), and the
+        conditionals are one :meth:`probs_batch` call on them; this is how
+        the explicit engine asks, carrying each candidate's state from the
+        step that made it.  Without states the rows' prefix tree is walked
+        level by level, taking neighbouring rows that agree on their first
+        j symbols to share a node at depth j.  At each depth, the rows that
+        open a new node are advanced from their parents' states in one
+        :meth:`advance_batch` call, and the leaves go through one
+        :meth:`probs_batch` call, so lexicographically grouped rows cost one
+        forward step per edge of their prefix tree, taken in ``width``
+        batched calls.
         """
+        if states is not None:
+            return self.probs_batch(states)
         rows = np.asarray(prefixes)
         count, width = rows.shape
         # shared[i]: length of the common prefix of row i and row i - 1
@@ -324,9 +332,10 @@ class TableModel(AlternativeModel):
     """Explicit conditional table for every prefix up to a depth.
 
     Rows are stored level-major and indexed by the base-m code of the prefix,
-    so batched lookups are a single fancy-indexing call.  Prefixes at or
-    beyond the table depth fall back to the uniform conditional, keeping the
-    model horizon-free.
+    then one uniform row, which every prefix at or beyond the table depth
+    gets, keeping the model horizon-free.  The forward state is the index of
+    the prefix's row and ``_child[row, z]`` the row after one more symbol,
+    so a step is one lookup and a batched step one fancy-indexing call.
     """
 
     def __init__(self, alphabet_size: int, rows: np.ndarray, depth: int):
@@ -338,39 +347,38 @@ class TableModel(AlternativeModel):
         offsets = np.zeros(depth + 1, dtype=np.int64)
         for k in range(depth):
             offsets[k + 1] = offsets[k] + m**k
+        count = int(offsets[depth])
         rows = np.asarray(rows, dtype=float)
-        if rows.shape != (int(offsets[depth]), m):
-            raise ValueError(
-                f"expected {int(offsets[depth])} rows of width {m}, got {rows.shape}"
-            )
+        if rows.shape != (count, m):
+            raise ValueError(f"expected {count} rows of width {m}, got {rows.shape}")
         _check_laws("conditional", rows)
         self.depth = depth
-        self._rows = rows
-        self._offsets = offsets
-        self._uniform = np.full(m, 1.0 / m)
+        self._rows = np.vstack([rows, np.full(m, 1.0 / m)])
+        self._rows.setflags(write=False)
+        # the last level's children, and the uniform row's, are the uniform row
+        child = np.full((count + 1, m), count, dtype=np.int64)
+        for k in range(depth - 1):
+            codes = np.arange(m**k)
+            child[offsets[k] + codes] = offsets[k + 1] + codes[:, None] * m + np.arange(m)
+        self._child = child
 
-    def _codes(self, prefixes: np.ndarray) -> np.ndarray:
-        rows = np.asarray(prefixes, dtype=np.int64)
-        if rows.shape[1] == 0:
-            return np.zeros(rows.shape[0], dtype=np.int64)
-        powers = self.alphabet_size ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-        return rows @ powers
+    def start(self) -> int:
+        return 0
+
+    def advance(self, state: int, z: int) -> int:
+        return int(self._child[state, int(z)])
+
+    def probs(self, state: int) -> np.ndarray:
+        return self._rows[state]
+
+    def advance_batch(self, states, symbols: np.ndarray) -> np.ndarray:
+        return self._child[np.asarray(states), np.asarray(symbols)]
+
+    def probs_batch(self, states) -> np.ndarray:
+        return self._rows[np.asarray(states)]
 
     def conditional(self, prefix) -> np.ndarray:
-        k = len(prefix)
-        if k >= self.depth:
-            return self._uniform.copy()
-        code = 0
-        for z in prefix:
-            code = code * self.alphabet_size + int(z)
-        return self._rows[int(self._offsets[k]) + code].copy()
-
-    def conditional_batch(self, prefixes) -> np.ndarray:
-        rows = np.asarray(prefixes, dtype=np.int64)
-        k = rows.shape[1]
-        if k >= self.depth:
-            return np.broadcast_to(self._uniform, (rows.shape[0], self.alphabet_size)).copy()
-        return self._rows[int(self._offsets[k]) + self._codes(rows)]
+        return self.probs(self.state_after(prefix[: self.depth])).copy()
 
     @classmethod
     def random(cls, alphabet_size: int, depth: int, rng: np.random.Generator) -> "TableModel":

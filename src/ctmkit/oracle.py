@@ -175,6 +175,13 @@ def expected_log_wealth(cells, factor_sequences) -> float:
     ``factor_sequences`` aligns with ``cells``: per cell, the factors met
     along its path.  Returns -inf (a signaled value, not an error) when a
     positive-mass cell meets a zero factor.
+
+    It stays a plain, independent reference: the engine adds its log factors
+    one step at a time, while here each cell's term is the exactly rounded
+    sum (``math.fsum``) of ``math.log`` of the factors on its path, with no
+    code shared.  ``math.log`` raising on a zero or negative factor is the
+    -inf case, which gives the same bits as testing every factor first, also
+    on NaN and inf factors.
     """
     if len(cells) != len(factor_sequences):
         raise ValueError("factor sequences must align with cells")
@@ -182,12 +189,10 @@ def expected_log_wealth(cells, factor_sequences) -> float:
     for cell, factors in zip(cells, factor_sequences):
         if cell.q_mass <= 0.0:
             continue
-        logs = []
-        for f in factors:
-            if f <= 0.0:
-                return -math.inf
-            logs.append(math.log(f))
-        terms.append(cell.q_mass * math.fsum(logs))
+        try:
+            terms.append(cell.q_mass * math.fsum(map(math.log, factors)))
+        except ValueError:
+            return -math.inf
     return math.fsum(terms)
 
 

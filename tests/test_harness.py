@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,6 +316,12 @@ class TestSimulate:
             assert run_simulate(_cfg(tmp_path, null=null, reps=2, horizon=5))["ok"] is True
         assert _parse_null_spec("categorical:0.5,0.5,0")[1] == 1
         assert _parse_null_spec("categorical:0,0,1")[1] == 2
+        # the cumulative sum ends at 0.9999999999: the largest uniform draw
+        # still lands on the last positive-probability symbol
+        sampler, top = _parse_null_spec("categorical:0.3,0.6999999999,0")
+        assert top == 1
+        largest = SimpleNamespace(random=lambda n: np.full(n, 1.0 - 2.0**-53))
+        assert sampler(largest, 3).tolist() == [1, 1, 1]
         assert _parse_null_spec("bernoulli:0")[1] == 0
         assert _parse_null_spec("normal")[1] is None
 

@@ -421,14 +421,14 @@ class TestForwardStateBitIdentity:
                     assert np.array_equal(model.conditional(row), got)
 
     def test_explicit_engine_batches_every_step(self):
-        # distmean has no collapsed path, so each step's candidates reach the
-        # batched forward walk through extend
+        # distmean has no collapsed path, so each step's candidates reach
+        # conditional_batch through extend, with their carried forward states
         model = changepoint_model(0.3, 0.8, 0.05)
         seen = []
         batch = model.conditional_batch
 
-        def recorded(prefixes):
-            out = batch(prefixes)
+        def recorded(prefixes, states=None):
+            out = batch(prefixes, states)
             seen.append((np.array(prefixes), out))
             return out
 

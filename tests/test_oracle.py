@@ -120,6 +120,35 @@ class TestExpectedLogWealth:
         with pytest.raises(ValueError):
             expected_log_wealth(cells, [[1.0]] * (len(cells) - 1))
 
+    def test_matches_per_factor_loop(self):
+        # the loop that tests each factor before taking its log, the
+        # oracle's earlier form: same bits, also on signed zeros, NaN and inf
+        def loop(cells, family):
+            terms = []
+            for cell, factors in zip(cells, family):
+                if cell.q_mass <= 0.0:
+                    continue
+                logs = []
+                for f in factors:
+                    if f <= 0.0:
+                        return -math.inf
+                    logs.append(math.log(f))
+                terms.append(cell.q_mass * math.fsum(logs))
+            return math.fsum(terms)
+
+        cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 4)
+        rng = np.random.default_rng(44)
+        families = [bk_factor_sequences(cells)]
+        families += [sample_betting_family(cells, rng) for _ in range(20)]
+        for special in (0.0, -0.0, -1.0, math.nan, math.inf):
+            for at in (0, len(cells) // 2, len(cells) - 1):
+                family = [list(factors) for factors in families[0]]
+                family[at][-1] = special
+                families.append(family)
+        for family in families:
+            got, want = expected_log_wealth(cells, family), loop(cells, family)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
 
 class TestSampledFamilies:
     def test_families_are_filtration_adapted_densities(self):
