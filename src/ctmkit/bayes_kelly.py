@@ -23,17 +23,14 @@ normalised away, and once that mass hits zero it is dead and bets the
 uniform density for good.  ``BayesKellyBettor`` holds the candidates
 explicitly and works for any finite alphabet and conformity measure at cost
 ``alphabet**step`` (desk scale: up to about a million candidates).  It
-carries each candidate's forward state beside its prefix, so each step asks
-the model for all candidates' conditionals in one ``conditional_batch`` call
-on those states (one ``probs_batch``) and advances the kept children in one
-``advance_batch`` call, instead of re-walking the candidates' prefix tree
-from the root.  ``CollapsedBayesKellyBettor`` takes a binary
-``HiddenStateModel`` with the identity measure, and nothing else, at
-polynomial cost by collapsing candidates onto (ones count, hidden state),
-which is all that identity ranks and a hidden-state alternative can see of
-a prefix.  ``bayes_kelly_bettor`` picks the collapsed one whenever its
-constructor accepts the instance; the two emit the same densities up to
-float reassociation.
+carries each candidate's forward state beside its prefix, so each step costs
+one batched ``probs`` and one ``advance_batch`` call on those states.
+``CollapsedBayesKellyBettor`` takes a binary ``HiddenStateModel`` with the
+identity measure, and nothing else, at polynomial cost by collapsing
+candidates onto (ones count, hidden state), which is all that identity ranks
+and a hidden-state alternative can see of a prefix.  ``bayes_kelly_bettor``
+picks the collapsed one whenever its constructor accepts the instance; the
+two emit the same densities up to float reassociation.
 
 A candidate survives a step when its closed rank interval
 ``[n_star/n, n_upper/n]``, with both ends formed by float division as the
@@ -129,7 +126,8 @@ def extend(hset: HypothesisSet, model: AlternativeModel) -> HypothesisSet:
     if hset.states is None and hset.step:
         raise ValueError("a hypothesis set past the root needs its forward states")
     m = model.alphabet_size
-    probs = np.asarray(model.conditional_batch(hset.prefixes, hset.states), dtype=float)
+    states = [model.start()] if hset.states is None else hset.states
+    probs = np.asarray(model.conditional_batch(states), dtype=float)
     if probs.shape != (count, m):
         raise ValueError(f"conditional batch returned {probs.shape}, expected {(count, m)}")
     # min and max are NaN when any entry is, which fails both tests
@@ -140,9 +138,9 @@ def extend(hset: HypothesisSet, model: AlternativeModel) -> HypothesisSet:
     parent, syms = np.divmod(kept, m)
     syms = syms.astype(_PREFIX_DTYPE)
     child_prefixes = np.concatenate([hset.prefixes[parent], syms[:, None]], axis=1)
-    parents = [model.start()] * kept.size if hset.states is None else hset.states[parent]
-    states = model.advance_batch(parents, syms)
-    return HypothesisSet(hset.step + 1, child_prefixes, child_w[kept], states)
+    parents = [states[0]] * kept.size if hset.states is None else states[parent]
+    return HypothesisSet(hset.step + 1, child_prefixes, child_w[kept],
+                         model.advance_batch(parents, syms))
 
 
 def _rank_stats(prefixes: np.ndarray, measure: ConformityMeasure):

@@ -1,27 +1,15 @@
 """Sequential alternative hypotheses over finite alphabets.
 
-An alternative is specified by its conditional next-symbol law given the
-prefix observed so far; that is all the betting engine and the verification
-oracle ever ask of it.  Models are horizon-free: the run length is a runtime
-parameter, never a model parameter.
+A model is three methods, all that sampling, the betting engine, the
+e-process and the oracle ask of it: ``start()`` gives the forward state
+before any symbol, ``advance(state, z)`` the state after one more symbol,
+and ``probs(state)`` the next-symbol law.  Models are horizon-free: the run
+length is a runtime parameter, never a model parameter.
 
-Sequential callers (sampling, sequence probabilities, the e-process, the
-explicit betting engine) go through a forward-state interface instead of handing over
-ever longer prefixes: ``start()`` gives the state before any symbol,
-``advance(state, z)`` the state after one more symbol, and ``probs(state)``
-the next-symbol law.  The default state is the prefix itself, so a custom
-model that defines only :meth:`AlternativeModel.conditional` still works, at
-O(N^2) cost over N symbols.  A model with a compact state overrides the three
-methods and every caller becomes O(N).
-
-The same step comes batched over many rows, ``advance_batch(states,
-symbols)`` and ``probs_batch(states)``; by default they loop over the scalar
-methods.  The explicit betting engine carries each candidate's forward state
-beside its prefix, so every bet costs one ``probs_batch`` call for the
-candidates' conditionals and one ``advance_batch`` call for their children,
-whatever the step.  A caller holding prefixes alone gets batched
-conditionals from ``conditional_batch(prefixes)``, which walks the rows'
-prefix tree level by level, one ``advance_batch`` per depth.
+The step also comes batched, ``advance_batch(states, symbols)`` and
+``probs_batch(states)``, which loop over the scalar methods by default.  The
+explicit betting engine carries each candidate's forward state, so every bet
+costs one ``probs_batch`` and one ``advance_batch`` call, whatever the step.
 
 The changepoint, first-order Markov and iid alternatives are instances of
 one :class:`HiddenStateModel`, a tiny hidden-state chain over any alphabet
@@ -66,7 +54,7 @@ def _validate_prob(name: str, value: float) -> float:
 
 
 class AlternativeModel(ABC):
-    """A law over symbol sequences, presented one conditional at a time."""
+    """A law over symbol sequences, presented one forward step at a time."""
 
     def __init__(self, alphabet_size: int):
         alphabet_size = int(alphabet_size)
@@ -75,24 +63,20 @@ class AlternativeModel(ABC):
         self.alphabet_size = alphabet_size
 
     @abstractmethod
-    def conditional(self, prefix: Sequence[int]) -> np.ndarray:
-        """Probability vector of the next symbol given ``prefix``."""
-
     def start(self):
-        """Forward state before any symbol.  The default state is the prefix."""
-        return ()
+        """Forward state before any symbol."""
 
+    @abstractmethod
     def advance(self, state, z: int):
         """Forward state after one more symbol ``z``.
 
         Callers advance only past symbols of positive probability; a model
         may raise on any other.
         """
-        return state + (int(z),)
 
+    @abstractmethod
     def probs(self, state) -> np.ndarray:
         """Probability vector of the next symbol in forward state ``state``."""
-        return self.conditional(state)
 
     def state_after(self, prefix: Sequence[int]):
         """Forward state after ``prefix``: :meth:`advance` folded over it."""
@@ -101,13 +85,16 @@ class AlternativeModel(ABC):
             state = self.advance(state, z)
         return state
 
+    def conditional(self, prefix: Sequence[int]) -> np.ndarray:
+        """Probability vector of the next symbol given ``prefix``."""
+        return self.probs(self.state_after(prefix))
+
     def advance_batch(self, states, symbols: np.ndarray):
         """Forward states after one more symbol, one row per state.
 
-        ``states`` is a list of forward states or rows taken from an earlier
-        :meth:`advance_batch` result; the result must support integer- and
-        boolean-array indexing.  The default calls :meth:`advance` row by
-        row.
+        ``states`` is a list of forward states or rows of an earlier result,
+        which must support integer- and boolean-array indexing.  The default
+        calls :meth:`advance` row by row.
         """
         out = np.empty(len(symbols), dtype=object)
         for i, (state, z) in enumerate(zip(states, symbols.tolist())):
@@ -115,45 +102,17 @@ class AlternativeModel(ABC):
         return out
 
     def probs_batch(self, states) -> np.ndarray:
-        """Next-symbol laws, one row per forward state in ``states``.
-
-        The default calls :meth:`probs` row by row.
-        """
+        """Next-symbol laws, one row per forward state; the default loops :meth:`probs`."""
         return np.stack([self.probs(state) for state in states])
 
-    def conditional_batch(self, prefixes: np.ndarray, states=None) -> np.ndarray:
-        """Conditionals for many prefixes at once, one per row.
+    def conditional_batch(self, states) -> np.ndarray:
+        """:meth:`probs_batch`, the one call ``extend`` reads conditionals with.
 
-        ``states``, when given, holds the rows' forward states, aligned with
-        ``prefixes`` (rows of an :meth:`advance_batch` result), and the
-        conditionals are one :meth:`probs_batch` call on them; this is how
-        the explicit engine asks, carrying each candidate's state from the
-        step that made it.  Without states the rows' prefix tree is walked
-        level by level, taking neighbouring rows that agree on their first
-        j symbols to share a node at depth j.  At each depth, the rows that
-        open a new node are advanced from their parents' states in one
-        :meth:`advance_batch` call, and the leaves go through one
-        :meth:`probs_batch` call, so lexicographically grouped rows cost one
-        forward step per edge of their prefix tree, taken in ``width``
-        batched calls.
+        ``bench/tracing.py`` times the explicit engine by patching this method
+        here, so no model overrides it; it folds into :meth:`probs_batch` once
+        the program records its own layer spans (ROADMAP item 1).
         """
-        if states is not None:
-            return self.probs_batch(states)
-        rows = np.asarray(prefixes)
-        count, width = rows.shape
-        # shared[i]: length of the common prefix of row i and row i - 1
-        shared = np.zeros(count, dtype=np.int64)
-        if count > 1 and width:
-            neq = rows[1:] != rows[:-1]
-            shared[1:] = np.where(neq.any(axis=1), neq.argmax(axis=1), width)
-        level = [self.start()]  # forward states of the nodes at depth j
-        node = np.zeros(count, dtype=np.int64)  # node[i]: row i's node in level
-        for j in range(width):
-            opens = shared <= j  # rows whose node at depth j + 1 is new
-            parents = [level[0]] * int(opens.sum()) if j == 0 else level[node[opens]]
-            level = self.advance_batch(parents, rows[opens, j])
-            node = opens.cumsum() - 1
-        return self.probs_batch(level)[node]
+        return self.probs_batch(states)
 
     def sequence_log_probability(self, seq: Sequence[int]) -> float:
         """Natural log probability of a finite sequence; -inf when impossible."""
@@ -178,7 +137,9 @@ class AlternativeModel(ABC):
                 state = self.advance(state, z)
             probs = np.asarray(self.probs(state), dtype=float)
             cum = np.cumsum(probs)
-            z = int(min(np.searchsorted(cum, rng.random(), side="right"), self.alphabet_size - 1))
+            z = int(np.searchsorted(cum, rng.random(), side="right"))
+            if z == self.alphabet_size:  # past a cumulative sum ending below 1
+                z = int(np.flatnonzero(probs > 0.0)[-1])
             out[n] = z
         return out
 
@@ -248,9 +209,6 @@ class HiddenStateModel(AlternativeModel):
         pp = np.asarray(states, dtype=float) @ self._emit
         return pp / pp.sum(axis=1)[:, None]
 
-    def conditional(self, prefix) -> np.ndarray:
-        return self.probs(self.state_after(prefix))
-
     def __repr__(self):
         return f"HiddenStateModel({self.description})"
 
@@ -307,8 +265,9 @@ def iid_model(probs) -> HiddenStateModel:
 class PointMassModel(AlternativeModel):
     """Point mass on one fixed sequence (extended by repeating its last symbol).
 
-    The conditional after a prefix that already disagrees with the sequence is
-    moot: such candidates carry zero weight and are never extended.
+    The forward state is the number of symbols seen, so a step is O(1).  The
+    law after a prefix that already disagrees with the sequence is moot:
+    such candidates carry zero weight and are never extended.
     """
 
     def __init__(self, sequence, alphabet_size: int = 2):
@@ -320,12 +279,28 @@ class PointMassModel(AlternativeModel):
             if not 0 <= z < self.alphabet_size:
                 raise ValueError(f"symbol {z} outside alphabet of size {self.alphabet_size}")
         self.sequence = seq
+        self._rows = np.eye(self.alphabet_size)[list(seq)]
+        self._rows.setflags(write=False)
 
-    def conditional(self, prefix) -> np.ndarray:
-        idx = min(len(prefix), len(self.sequence) - 1)
-        out = np.zeros(self.alphabet_size)
-        out[self.sequence[idx]] = 1.0
-        return out
+    def start(self) -> int:
+        return 0
+
+    def advance(self, state: int, z: int) -> int:
+        return state + 1
+
+    def probs(self, state: int) -> np.ndarray:
+        return self._rows[min(state, len(self.sequence) - 1)]
+
+    def advance_batch(self, states, symbols: np.ndarray) -> np.ndarray:
+        return np.asarray(states, dtype=np.int64) + 1
+
+    def probs_batch(self, states) -> np.ndarray:
+        return self._rows[np.minimum(np.asarray(states, dtype=np.int64), len(self.sequence) - 1)]
+
+
+def _prefix_count(m: int, depth: int) -> int:
+    """Number of prefixes shorter than ``depth``: the rows of a ``depth``-level table."""
+    return sum(m**k for k in range(depth))
 
 
 class TableModel(AlternativeModel):
@@ -344,10 +319,7 @@ class TableModel(AlternativeModel):
         if depth < 1:
             raise ValueError("table depth must be at least 1")
         m = self.alphabet_size
-        offsets = np.zeros(depth + 1, dtype=np.int64)
-        for k in range(depth):
-            offsets[k + 1] = offsets[k] + m**k
-        count = int(offsets[depth])
+        count = _prefix_count(m, depth)
         rows = np.asarray(rows, dtype=float)
         if rows.shape != (count, m):
             raise ValueError(f"expected {count} rows of width {m}, got {rows.shape}")
@@ -355,12 +327,10 @@ class TableModel(AlternativeModel):
         self.depth = depth
         self._rows = np.vstack([rows, np.full(m, 1.0 / m)])
         self._rows.setflags(write=False)
-        # the last level's children, and the uniform row's, are the uniform row
-        child = np.full((count + 1, m), count, dtype=np.int64)
-        for k in range(depth - 1):
-            codes = np.arange(m**k)
-            child[offsets[k] + codes] = offsets[k + 1] + codes[:, None] * m + np.arange(m)
-        self._child = child
+        # row r's child by z is row m * r + 1 + z; the last level's children,
+        # and the uniform row's, are the uniform row
+        self._child = np.arange(count + 1)[:, None] * m + 1 + np.arange(m)
+        self._child[_prefix_count(m, depth - 1):] = count
 
     def start(self) -> int:
         return 0
@@ -377,15 +347,11 @@ class TableModel(AlternativeModel):
     def probs_batch(self, states) -> np.ndarray:
         return self._rows[np.asarray(states)]
 
-    def conditional(self, prefix) -> np.ndarray:
-        return self.probs(self.state_after(prefix[: self.depth])).copy()
-
     @classmethod
     def random(cls, alphabet_size: int, depth: int, rng: np.random.Generator) -> "TableModel":
         """Random conditional table: rows drawn uniformly from the simplex."""
         m = int(alphabet_size)
-        count = sum(m**k for k in range(int(depth)))
-        raw = rng.standard_exponential((count, m))
+        raw = rng.standard_exponential((_prefix_count(m, int(depth)), m))
         rows = raw / raw.sum(axis=1, keepdims=True)
         return cls(m, rows, depth)
 
@@ -399,9 +365,8 @@ class TableModel(AlternativeModel):
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         m = int(payload["alphabet_size"])
-        conditionals = payload.get("conditionals", {})
         parsed = {}
-        for key, probs in conditionals.items():
+        for key, probs in payload.get("conditionals", {}).items():
             prefix = tuple(int(t) for t in key.split(",")) if key else ()
             probs = np.asarray(probs, dtype=float)
             if probs.shape != (m,):
@@ -411,15 +376,12 @@ class TableModel(AlternativeModel):
                 )
             parsed[prefix] = probs
         depth = max((len(p) for p in parsed), default=0) + 1
-        offsets = [0]
-        for k in range(depth):
-            offsets.append(offsets[-1] + m**k)
-        rows = np.full((offsets[-1], m), 1.0 / m)
+        rows = np.full((_prefix_count(m, depth), m), 1.0 / m)
         for prefix, probs in parsed.items():
-            code = 0
+            row = 0  # the prefix's row, folded as the table's advance does
             for z in prefix:
-                if not 0 <= int(z) < m:
+                if not 0 <= z < m:
                     raise ValueError(f"prefix {prefix} outside alphabet of size {m}")
-                code = code * m + int(z)
-            rows[offsets[len(prefix)] + code] = probs
+                row = row * m + 1 + z
+            rows[row] = probs
         return cls(m, rows, depth)

@@ -54,7 +54,13 @@ class _FixedRowModel(AlternativeModel):
         super().__init__(2)
         self.row = np.asarray(row, dtype=float)
 
-    def conditional(self, prefix):
+    def start(self):
+        return None
+
+    def advance(self, state, z):
+        return None
+
+    def probs(self, state):
         return self.row
 
 

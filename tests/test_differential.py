@@ -34,11 +34,18 @@ MEASURES = {"identity": IdentityMeasure, "distmean": DistanceToMeanMeasure}
 
 
 class _SuccessionModel(AlternativeModel):
-    """A conditional-only model: Laplace's rule of succession over m symbols."""
+    """Laplace's rule of succession over m symbols, a custom model whose
+    forward state is the prefix, batched by the default row loops."""
 
-    def conditional(self, prefix):
-        counts = np.bincount(np.asarray(prefix, dtype=np.int64), minlength=self.alphabet_size)
-        return (counts + 1.0) / (len(prefix) + self.alphabet_size)
+    def start(self):
+        return ()
+
+    def advance(self, state, z):
+        return state + (int(z),)
+
+    def probs(self, state):
+        counts = np.bincount(np.asarray(state, dtype=np.int64), minlength=self.alphabet_size)
+        return (counts + 1.0) / (len(state) + self.alphabet_size)
 
 
 def _random_hidden_state(rng, hidden, m):

@@ -559,13 +559,19 @@ class TestEProcessRun:
 
 
 class _Laplace(AlternativeModel):
-    """Rule of succession: a custom model that defines only ``conditional``."""
+    """Rule of succession: a custom model whose forward state is (ones, length)."""
 
     def __init__(self):
         super().__init__(2)
 
-    def conditional(self, prefix):
-        p1 = (sum(prefix) + 1.0) / (len(prefix) + 2.0)
+    def start(self):
+        return (0, 0)
+
+    def advance(self, state, z):
+        return (state[0] + int(z), state[1] + 1)
+
+    def probs(self, state):
+        p1 = (state[0] + 1.0) / (state[1] + 2.0)
         return np.array([1.0 - p1, p1])
 
 

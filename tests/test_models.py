@@ -9,19 +9,32 @@ from ctmkit import (
     BayesKellyBettor,
     DistanceToMeanMeasure,
     HiddenStateModel,
+    IdentityMeasure,
     PointMassModel,
     TableModel,
+    bayes_kelly,
+    cell_tree,
     changepoint_model,
     ctm_run,
     iid_model,
     log_ml_sup,
     markov_model,
+    models,
     run_eprocess,
 )
 
 
 def _conditional_law(model, prefix):
     return model.conditional(prefix).tolist()
+
+
+def _batched_states(model, rows):
+    """Forward states after each row of ``rows``, folded one column at a
+    time with ``advance_batch``."""
+    states = [model.start()] * len(rows)
+    for column in np.asarray(rows).T:
+        states = model.advance_batch(states, column)
+    return states
 
 
 class TestChangepoint:
@@ -130,7 +143,7 @@ class TestHiddenStateModel:
     def test_conditional_batch_matches_loop(self):
         m = changepoint_model(0.5, 0.9, 0.2)
         prefixes = np.random.default_rng(4).integers(0, 2, size=(16, 5))
-        batch = m.conditional_batch(prefixes)
+        batch = m.conditional_batch(_batched_states(m, prefixes))
         for row, got in zip(prefixes, batch):
             assert np.allclose(got, m.conditional(row), atol=1e-15)
 
@@ -146,7 +159,8 @@ class TestHiddenStateModel:
             for length in range(6 if m == 2 else 4):
                 rows = _all_sequences(m, length)
                 want = np.stack([model.conditional(row) for row in rows])
-                assert np.abs(model.conditional_batch(rows) - want).max() <= 1e-12
+                got = model.conditional_batch(_batched_states(model, rows))
+                assert np.abs(got - want).max() <= 1e-12
 
 
 class TestIid:
@@ -172,6 +186,28 @@ class TestIid:
             iid_model([math.nan, 0.5])
         with pytest.raises(ValueError):
             iid_model([math.inf, 0.5, 0.5])
+
+
+class _FixedDraw:
+    """Generator stub whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_never_draws_a_zero_probability_last_symbol():
+    # the normalised law's cumulative sum ends at 1 - 2**-53, so the largest
+    # uniform draw lands past the last symbol, whose probability is 0
+    model = iid_model([0.8006520409183475, 0.19934795908165262, 0.0])
+    u = 1.0 - 2.0**-53
+    assert np.cumsum(model.probs(model.start()))[-1] <= u
+    assert model.sample(5, _FixedDraw(u)).tolist() == [1] * 5
+    # a law whose sum reaches 1 keeps its last symbol for the same draw
+    assert iid_model([0.5, 0.5]).sample(1, _FixedDraw(u)).tolist() == [1]
+
 
 class TestPointMass:
     def test_one_hot_conditionals(self):
@@ -213,7 +249,7 @@ class TestTableModel:
         rng = np.random.default_rng(7)
         m = TableModel.random(4, depth=3, rng=rng)
         prefixes = rng.integers(0, 4, size=(25, 3))
-        batch = m.conditional_batch(prefixes)
+        batch = m.conditional_batch(_batched_states(m, prefixes))
         for row, got in zip(prefixes, batch):
             assert np.array_equal(got, m.conditional(row))
 
@@ -253,15 +289,28 @@ class TestTableModel:
 # -- forward states against the prefix-refolding algorithm -----------------------
 #
 # The reference below is the algorithm the forward-state interface replaced:
-# every conditional re-filters the whole prefix from the initial law.  The
-# forward-state callers must reproduce it bit for bit, so these tests compare
-# with ``==``, never with a tolerance.
+# every conditional is recomputed from the whole prefix.  The forward-state
+# callers must reproduce it bit for bit, so these tests compare with ``==``,
+# never with a tolerance.
 
 
 def _ref_conditional(model, prefix):
     prefix = tuple(int(z) for z in prefix)
-    if not isinstance(model, HiddenStateModel):
-        return model.conditional(prefix)
+    m = model.alphabet_size
+    if isinstance(model, PointMassModel):
+        out = np.zeros(m)
+        out[model.sequence[min(len(prefix), len(model.sequence) - 1)]] = 1.0
+        return out
+    if isinstance(model, TableModel):
+        if len(prefix) >= model.depth:
+            return np.full(m, 1.0 / m)
+        code = 0
+        for z in prefix:
+            code = code * m + z
+        return model.probs((m ** len(prefix) - 1) // (m - 1) + code)
+    if isinstance(model, LaplaceModel):
+        p1 = (sum(prefix) + 1.0) / (len(prefix) + 2.0)
+        return np.array([1.0 - p1, p1])
     state = model.initial
     for z in prefix:
         state = state @ model.transition[:, z, :]
@@ -269,11 +318,11 @@ def _ref_conditional(model, prefix):
         if total <= 0.0:
             raise ValueError("prefix has probability zero under this model")
         state = state / total
-    if model.alphabet_size == 2:
+    if m == 2:
         p1 = float(state @ model.transition[:, 1, :].sum(axis=1))
         p0 = float(state @ model.transition[:, 0, :].sum(axis=1))
         return np.array([p0, p1]) / (p0 + p1)
-    pp = [float(state @ model.transition[:, z, :].sum(axis=1)) for z in range(model.alphabet_size)]
+    pp = [float(state @ model.transition[:, z, :].sum(axis=1)) for z in range(m)]
     return np.array(pp) / sum(pp)
 
 
@@ -320,14 +369,43 @@ def _ref_eprocess(model, data):
 
 
 class LaplaceModel(AlternativeModel):
-    """Rule of succession: a custom model that defines only ``conditional``."""
+    """Rule of succession: a minimal custom model, whose forward state is
+    the prefix itself, that defines only ``start``, ``advance`` and ``probs``."""
 
     def __init__(self):
         super().__init__(2)
 
-    def conditional(self, prefix):
-        p1 = (sum(prefix) + 1.0) / (len(prefix) + 2.0)
+    def start(self):
+        return ()
+
+    def advance(self, state, z):
+        return state + (int(z),)
+
+    def probs(self, state):
+        p1 = (sum(state) + 1.0) / (len(state) + 2.0)
         return np.array([1.0 - p1, p1])
+
+
+class _PrefixFold(AlternativeModel):
+    """``model`` with every law recomputed from the whole prefix by
+    ``_ref_conditional``: the prefix-refolding algorithm as a model, whose
+    ``conditional`` bypasses the forward-state fold."""
+
+    def __init__(self, model):
+        super().__init__(model.alphabet_size)
+        self.model = model
+
+    def start(self):
+        return ()
+
+    def advance(self, state, z):
+        return state + (int(z),)
+
+    def probs(self, state):
+        return np.asarray(_ref_conditional(self.model, state), dtype=float)
+
+    def conditional(self, prefix):
+        return self.probs(prefix)
 
 
 def _binary_models():
@@ -405,42 +483,40 @@ class TestForwardStateBitIdentity:
 
     @pytest.mark.parametrize("model,depth", MODELS, ids=_ids(MODELS))
     def test_conditional_batch(self, model, depth):
-        rng = np.random.default_rng(13)
         for length in range(min(depth, 6) + 1):
             rows = _all_sequences(model.alphabet_size, length)
             possible = [_ref_log_probability(model, row) > -math.inf for row in rows.tolist()]
             rows = rows[np.array(possible, dtype=bool)]
-            shuffled = rows[rng.permutation(len(rows))]
-            duplicated = np.repeat(shuffled, rng.integers(1, 4, len(rows)), axis=0)
-            for batch in (rows, shuffled, duplicated):
-                want = np.stack([_ref_conditional(model, row) for row in batch])
-                assert np.array_equal(model.conditional_batch(batch), want)
-                # the forward-state default, also for models that override it
-                assert np.array_equal(AlternativeModel.conditional_batch(model, batch), want)
-                for row, got in zip(batch, want):
-                    assert np.array_equal(model.conditional(row), got)
+            want = np.stack([_ref_conditional(model, row) for row in rows])
+            assert np.array_equal(model.conditional_batch(_batched_states(model, rows)), want)
+            for row, got in zip(rows, want):
+                assert np.array_equal(model.conditional(row), got)
 
-    def test_explicit_engine_batches_every_step(self):
+    def test_explicit_engine_batches_every_step(self, monkeypatch):
         # distmean has no collapsed path, so each step's candidates reach
         # conditional_batch through extend, with their carried forward states
         model = changepoint_model(0.3, 0.8, 0.05)
-        seen = []
+        prefixes, laws = [], []
         batch = model.conditional_batch
 
-        def recorded(prefixes, states=None):
-            out = batch(prefixes, states)
-            seen.append((np.array(prefixes), out))
-            return out
+        def recorded(states):
+            laws.append(batch(states))
+            return laws[-1]
+
+        def extend(hset, model, original=bayes_kelly.extend):
+            prefixes.append(hset.prefixes)
+            return original(hset, model)
 
         model.conditional_batch = recorded
+        monkeypatch.setattr(bayes_kelly, "extend", extend)
         for seed in range(4):
             data = model.sample(12, np.random.default_rng(seed))
             bettor = BayesKellyBettor(model, DistanceToMeanMeasure())
             ctm_run(data, DistanceToMeanMeasure(), bettor, np.random.default_rng(seed).random(12), 12)
-        assert len(seen) == 4 * 12
-        assert max(len(prefixes) for prefixes, _ in seen) > 20
-        for prefixes, got in seen:
-            want = np.stack([_ref_conditional(model, row) for row in prefixes])
+        assert len(prefixes) == len(laws) == 4 * 12
+        assert max(len(rows) for rows in prefixes) > 20
+        for rows, got in zip(prefixes, laws):
+            want = np.stack([_ref_conditional(model, row) for row in rows])
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("model", [model for model, _ in BINARY], ids=_ids(BINARY))
@@ -479,86 +555,109 @@ def _count_advances(model):
     return calls
 
 
-def _count_calls(model, name):
-    calls = []
-    method = getattr(model, name)
-
-    def counted(*args):
-        calls.append(args)
-        return method(*args)
-
-    setattr(model, name, counted)
-    return calls
-
-
-COUNTED = {
-    "changepoint": lambda: changepoint_model(0.5, 0.9, 0.2),
-    "markov": lambda: markov_model(0.1, 0.1),
-    "point_mass": lambda: PointMassModel([1, 0, 1], alphabet_size=2),
-    "laplace": LaplaceModel,
+CONTRACT = {
+    "hidden_state": lambda: changepoint_model(0.5, 0.9, 0.2),
+    "table": lambda: TableModel.random(2, depth=3, rng=np.random.default_rng(11)),
+    "point_mass": lambda: PointMassModel([1, 0, 1, 1, 0], alphabet_size=2),
+    "custom": LaplaceModel,
 }
 
 
-class TestForwardStateCost:
-    """Forward-state callers are O(N): counted in advances, not timed."""
+class TestModelContract:
+    """``start``/``advance``/``probs`` is the whole model contract.  Every
+    sequential caller takes one forward step per symbol or candidate-tree
+    edge (counted, not timed), and the oracle's prefix conditionals are the
+    prefix fold's, bit for bit."""
 
-    @pytest.mark.parametrize("name", COUNTED)
-    def test_sample_advances_between_symbols_only(self, name):
+    @pytest.mark.parametrize("name", CONTRACT)
+    def test_sample_advances_once_per_symbol(self, name):
         for horizon in (1, 2, 50, 400):
-            model = COUNTED[name]()
+            model = CONTRACT[name]()
             calls = _count_advances(model)
             out = model.sample(horizon, np.random.default_rng(horizon))
-            assert len(calls) == horizon - 1
             assert calls == out[:-1].tolist()
 
-    @pytest.mark.parametrize("name", COUNTED)
-    def test_sequence_log_probability_is_linear(self, name):
-        model = COUNTED[name]()
-        seq = model.sample(300, np.random.default_rng(1)).tolist()
+    @pytest.mark.parametrize("name", CONTRACT)
+    def test_sequence_log_probability_advances_once_per_symbol(self, name):
+        seq = CONTRACT[name]().sample(300, np.random.default_rng(1)).tolist()
+        model = CONTRACT[name]()
         calls = _count_advances(model)
-        model.sequence_log_probability(seq)
-        assert len(calls) <= len(seq) - 1
+        assert model.sequence_log_probability(seq) > -math.inf
+        assert calls == seq[:-1]
 
-    @pytest.mark.parametrize("name", COUNTED)
-    def test_run_eprocess_is_linear(self, name):
-        model = COUNTED[name]()
-        bits = np.random.default_rng(2).integers(0, 2, 300).tolist()
+    @pytest.mark.parametrize("name", CONTRACT)
+    def test_run_eprocess_advances_at_most_once_per_symbol(self, name):
+        data = CONTRACT[name]().sample(300, np.random.default_rng(2)).tolist()
+        noisy = np.random.default_rng(2).integers(0, 2, 300).tolist()
+        for bits in (data, noisy):
+            model = CONTRACT[name]()
+            calls = _count_advances(model)
+            states = run_eprocess(bits, model)
+            # past each symbol while the prefix stays possible, never after
+            assert calls == bits[: sum(s.log_q > -math.inf for s in states)]
+
+    @pytest.mark.parametrize("name", CONTRACT)
+    def test_explicit_bettor_advances_once_per_tree_edge(self, name, monkeypatch):
+        model = CONTRACT[name]()
+        rng = np.random.default_rng(3)
+        data = model.sample(10, rng)
         calls = _count_advances(model)
-        run_eprocess(bits, model)
-        assert len(calls) <= len(bits)
+        edges = []
 
-    @pytest.mark.parametrize("name", COUNTED)
-    def test_sorted_batch_walks_the_prefix_tree(self, name):
-        model = COUNTED[name]()
-        k = 8
-        calls = _count_advances(model)
-        model.conditional_batch(_all_sequences(2, k))
-        assert len(calls) == 2 ** (k + 1) - 2  # one advance per edge of the tree
+        def extend(hset, model, original=bayes_kelly.extend):
+            out = original(hset, model)
+            edges.extend(out.prefixes[:, -1].tolist())  # each child's new edge
+            return out
 
-    @pytest.mark.parametrize("name", ["changepoint", "markov", "ternary_changepoint"])
-    def test_hidden_state_batch_takes_one_batched_step_per_level(self, name):
-        factories = {**COUNTED, "ternary_changepoint": _ternary_changepoint}
-        for k in (0, 1, 8):
-            model = factories[name]()
-            m = model.alphabet_size
-            scalar = _count_calls(model, "advance")
-            batched = _count_calls(model, "advance_batch")
-            leaves = _count_calls(model, "probs_batch")
-            rows = _all_sequences(m, k)
-            model.conditional_batch(rows)
-            assert len(batched) == k
-            # level j opens m**(j + 1) nodes, each from its parent's state
-            assert [len(symbols) for _, symbols in batched] == [m ** (j + 1) for j in range(k)]
-            assert len(leaves) == 1 and len(leaves[0][0]) == len(rows)
-            assert scalar == []
+        monkeypatch.setattr(bayes_kelly, "extend", extend)
+        measure = DistanceToMeanMeasure()
+        ctm_run(data, measure, BayesKellyBettor(model, measure), rng.random(10), 10)
+        assert len(edges) >= 10
+        assert calls == edges
 
-    @pytest.mark.parametrize("name", ["point_mass", "laplace"])
-    def test_conditional_only_batch_advances_once_per_edge(self, name):
-        model = COUNTED[name]()
-        k = 8
-        scalar = _count_calls(model, "advance")
-        model.conditional_batch(_all_sequences(2, k))
-        assert len(scalar) == 2 ** (k + 1) - 2
+    @pytest.mark.parametrize("name", CONTRACT)
+    def test_cell_tree_matches_prefix_fold(self, name):
+        model = CONTRACT[name]()
+        fold = _PrefixFold(model)
+        for horizon in range(1, 6):
+            for measure in (IdentityMeasure(), DistanceToMeanMeasure()):
+                assert cell_tree(model, measure, horizon) == cell_tree(fold, measure, horizon)
+
+    def test_point_mass_steps_in_constant_time(self):
+        model = PointMassModel([1, 0, 1, 1, 0], alphabet_size=2)
+        n = 16_000
+        states = []
+        advance = model.advance
+
+        def recorded(state, z):
+            states.append(advance(state, z))
+            return states[-1]
+
+        model.advance = recorded
+        assert model.sample(n, np.random.default_rng(0)).tolist() == [1, 0, 1, 1] + [0] * (n - 4)
+        # its state is the int count of symbols seen, one advance per symbol
+        assert states == list(range(1, n))
+        assert {type(state) for state in states} == {int}
+
+
+SHIPPED_MODELS = [cls for cls in vars(models).values()
+                  if isinstance(cls, type) and issubclass(cls, AlternativeModel)
+                  and cls is not AlternativeModel]
+
+
+class TestInterface:
+    def test_abstract_methods_are_the_forward_step(self):
+        assert AlternativeModel.__abstractmethods__ == {"start", "advance", "probs"}
+        assert {HiddenStateModel, PointMassModel, TableModel} <= set(SHIPPED_MODELS)
+
+    @pytest.mark.parametrize("cls", SHIPPED_MODELS, ids=lambda cls: cls.__name__)
+    def test_traced_methods_live_on_the_base_class_only(self, cls):
+        # bench/tracing.py times these layers by patching AlternativeModel,
+        # so an override in a model would run outside the span
+        for name in ("conditional_batch", "sample", "sequence_log_probability"):
+            assert name in AlternativeModel.__dict__
+            assert name not in cls.__dict__
+        assert "conditional" not in cls.__dict__
 
 
 class TestForwardStateEdges:
@@ -589,9 +688,4 @@ class TestForwardStateEdges:
     def test_batch_with_an_impossible_row_raises(self):
         model = markov_model(0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="probability zero"):
-            model.conditional_batch(np.array([[1, 1], [1, 0], [0, 0]]))
-
-    def test_empty_rows(self):
-        model = changepoint_model(0.5, 0.9, 0.2)
-        got = model.conditional_batch(np.zeros((3, 0), dtype=np.int64))
-        assert np.array_equal(got, np.stack([model.conditional(())] * 3))
+            _batched_states(model, np.array([[1, 1], [1, 0], [0, 0]]))
