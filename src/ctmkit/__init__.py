@@ -26,10 +26,8 @@ from .conformal import (
     tie_counts,
 )
 from .eprocess import (
-    EProcessState,
-    eprocess_step,
+    EProcessRecord,
     example_distinct_report,
-    initial_state,
     log_empirical_ml,
     log_ml_sup,
     run_eprocess,
@@ -75,7 +73,7 @@ __all__ = [
     "ConformityMeasure",
     "ConstantBettor",
     "DistanceToMeanMeasure",
-    "EProcessState",
+    "EProcessRecord",
     "ExperimentConfig",
     "HiddenStateModel",
     "HypothesisSet",
@@ -92,13 +90,11 @@ __all__ = [
     "cell_volume_closure",
     "changepoint_model",
     "ctm_run",
-    "eprocess_step",
     "evariable_expectation",
     "example_distinct_report",
     "expected_log_wealth",
     "extend",
     "iid_model",
-    "initial_state",
     "log_empirical_ml",
     "log_ml_sup",
     "markov_model",

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betting import BettingMartingale, PiecewiseDensity, grid_index
+from .betting import BettingMartingale, PiecewiseDensity, grid_index, linear_from_log
 from .conformal import ConformityMeasure, IdentityMeasure
 from .models import AlternativeModel, HiddenStateModel
 
@@ -260,7 +260,7 @@ class BayesKellyBettor(_BayesKelly):
         """Candidate set with absolute weights (Q-mass times tie corrections)."""
         hset = self._hset
         return HypothesisSet(
-            hset.step, hset.prefixes.copy(), hset.weights * math.exp(self._log_mass),
+            hset.step, hset.prefixes.copy(), hset.weights * linear_from_log(self._log_mass),
             None if hset.states is None else hset.states.copy(),
         )
 

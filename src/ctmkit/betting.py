@@ -25,8 +25,6 @@ def linear_from_log(log_value: float) -> float:
     """``exp(log_value)``, with -inf mapped to 0 and anything past the float
     range reported as +inf instead of raising.  The log value stays the
     authoritative one; this is only its linear read-out."""
-    if log_value == -math.inf:
-        return 0.0
     if log_value > _MAX_EXP_ARG:
         return math.inf
     return math.exp(log_value)

@@ -44,8 +44,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                                       "markov:P01,P10[,INIT1] | iid:THETA | iid:P0,P1,.. | "
                                       "pointmass:Z1,Z2,.. | table:PATH")
     parser.add_argument("--measure", help="conformity measure: identity | distmean")
-    parser.add_argument("--bettor", help="bayes_kelly | bayes_kelly_full | constant | "
-                                         "density:PATH")
+    parser.add_argument("--bettor", help="bayes_kelly | constant | density:PATH")
     parser.add_argument("--dgp", help="data source: null | alt | file:PATH")
     parser.add_argument("--tau-mode", dest="tau_mode",
                         help="tie-breaking: uniform | constant:VALUE")

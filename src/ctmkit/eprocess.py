@@ -4,7 +4,9 @@ The running statistic is Q(prefix) divided by the maximum likelihood the
 Bernoulli family can give that prefix.  At every fixed sample size its
 expectation is at most one under every Bernoulli law, which is what makes it
 usable as evidence against the whole family; the oracle module can check the
-bound exactly by enumeration.
+bound exactly by enumeration.  ``run_eprocess`` returns one flat record per
+step from the model's log-probability fold (``prefix_log_probabilities``)
+and a running ones count; it keeps no forward state of its own.
 
 Also here: the empirical maximum likelihood of a real-valued sample over all
 exchangeable laws (the product of multiplicity frequencies), which equals
@@ -16,16 +18,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .betting import linear_from_log
 from .models import AlternativeModel
 
 __all__ = [
-    "EProcessState",
-    "initial_state",
+    "EProcessRecord",
     "log_ml_sup",
-    "eprocess_step",
     "run_eprocess",
     "log_empirical_ml",
     "example_distinct_report",
@@ -53,62 +53,32 @@ def log_ml_sup(n: int, ones: int) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class EProcessState:
-    """Running e-process state after ``n`` symbols.
-
-    ``value`` is exp(log_q - log_ml_sup(n, ones)); it is zero (and absorbing)
-    as soon as the alternative gives the realized prefix probability zero.
-    ``forward`` is the alternative's forward state after the ``n`` symbols
-    (see :meth:`AlternativeModel.advance`), or None before the first step,
-    so a step costs one :meth:`AlternativeModel.advance` however long the
-    run.  It is not advanced past a symbol of probability zero.
-    """
+class EProcessRecord(NamedTuple):
+    """The e-process after ``n`` symbols, ``ones`` of them ones: ``log_q`` is
+    log Q of the prefix (-inf, and ``value`` zero, once it is impossible),
+    ``log_ml`` is ``log_ml_sup(n, ones)`` and ``value`` exp(log_q - log_ml)."""
 
     n: int
     ones: int
     log_q: float
+    log_ml: float
     value: float
-    forward: object = field(default=None, compare=False)
-
-
-def initial_state() -> EProcessState:
-    return EProcessState(n=0, ones=0, log_q=0.0, value=1.0)
-
-
-def eprocess_step(state: EProcessState, z: int, model: AlternativeModel) -> EProcessState:
-    """Advance the e-process by one observed bit."""
-    z = int(z)
-    if z not in (0, 1):
-        raise ValueError(f"binary e-process expects bits, got {z}")
-    if model.alphabet_size != 2:
-        raise ValueError("binary e-process needs a binary alternative")
-    forward = state.forward
-    if state.log_q > -math.inf:
-        # the conditional law is only defined while the prefix is possible
-        if forward is None:
-            forward = model.start()
-        cond = float(model.probs(forward)[z])
-        if cond > 0.0:
-            log_q = state.log_q + math.log(cond)
-            forward = model.advance(forward, z)
-        else:
-            log_q = -math.inf
-    else:
-        log_q = -math.inf
-    n = state.n + 1
-    ones = state.ones + z
-    value = linear_from_log(log_q - log_ml_sup(n, ones))
-    return EProcessState(n=n, ones=ones, log_q=log_q, value=value, forward=forward)
 
 
 def run_eprocess(data, model: AlternativeModel) -> list:
-    """E-process trajectory over a bit sequence, one state per step."""
-    state = initial_state()
+    """E-process trajectory over a bit sequence, one record per step."""
+    if model.alphabet_size != 2:
+        raise ValueError("binary e-process needs a binary alternative")
+    bits = [int(z) for z in data]
+    for z in bits:
+        if z not in (0, 1):
+            raise ValueError(f"binary e-process expects bits, got {z}")
     out = []
-    for z in data:
-        state = eprocess_step(state, z, model)
-        out.append(state)
+    ones = 0
+    for n, (z, log_q) in enumerate(zip(bits, model.prefix_log_probabilities(bits)), start=1):
+        ones += z
+        log_ml = log_ml_sup(n, ones)
+        out.append(EProcessRecord(n, ones, log_q, log_ml, linear_from_log(log_q - log_ml)))
     return out
 
 
@@ -143,7 +113,7 @@ def example_distinct_report(values) -> dict:
         "n": n,
         "all_distinct": all_distinct,
         "log_empirical_ml": log_eml,
-        "empirical_ml": math.exp(log_eml),
+        "empirical_ml": linear_from_log(log_eml),
         "log_nn_floor": -n * math.log(n),
         "continuous_alternative_likelihood_ratio": 0.0,
     }

@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random  # every command's first act is `substream`: load it with the imports
 
 from . import oracle as _oracle
-from .bayes_kelly import BayesKellyBettor, bayes_kelly_bettor
+from .bayes_kelly import bayes_kelly_bettor
 from .betting import ConstantBettor, ShrunkAlternativeBettor, linear_from_log
 from .conformal import DistanceToMeanMeasure, IdentityMeasure, ctm_run, read_observation_stream
 from .eprocess import example_distinct_report, log_ml_sup
@@ -94,12 +94,15 @@ class ExperimentConfig:
             ("jobs", 1, "must be at least 1"),
         ):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                try:
-                    setattr(self, name, int(value))
-                except (TypeError, ValueError):
-                    problems.append(f"{name}: must be an integer, got {value!r}")
-                    continue
+            try:
+                # a bool or a fraction is refused, not truncated; 12.0 and "12" are read
+                if isinstance(value, (bool, np.bool_)) or (
+                        not isinstance(value, str) and int(value) != value):
+                    raise ValueError
+                setattr(self, name, int(value))
+            except (TypeError, ValueError, OverflowError):
+                problems.append(f"{name}: must be an integer, got {value!r}")
+                continue
             if getattr(self, name) < low:
                 problems.append(f"{name}: {rule}")
 
@@ -265,9 +268,9 @@ def _parse_tau_mode(spec: str):
 def _load_bettor(spec: str):
     """The validated per-step family of a ``density:PATH`` bettor, else None."""
     kind, _, path = spec.partition(":")
-    if kind not in ("bayes_kelly", "bayes_kelly_full", "constant", "density"):
-        raise ConfigError("bettor: must be bayes_kelly, bayes_kelly_full, constant or "
-                          f"density:<path>, got {spec!r}")
+    if kind not in ("bayes_kelly", "constant", "density"):
+        raise ConfigError("bettor: must be bayes_kelly, constant or density:<path>, "
+                          f"got {spec!r}")
     if kind != "density":
         return None
     if not path:
@@ -298,8 +301,6 @@ def build_bettor(cfg: ExperimentConfig):
     kind = cfg.bettor.partition(":")[0]
     if kind == "bayes_kelly":
         bettor = bayes_kelly_bettor(cfg.model, cfg.conformity)
-    elif kind == "bayes_kelly_full":
-        bettor = BayesKellyBettor(cfg.model, cfg.conformity)
     elif kind == "constant":
         bettor = ConstantBettor()
     else:
@@ -333,7 +334,7 @@ def _check_bettor_data(cfg: ExperimentConfig) -> None:
     """Refuse, before any replicate or output, data a Bayes-Kelly bettor cannot
     bet on: real values, or symbols outside the alternative's alphabet (which
     data sampled from the alternative never holds)."""
-    if cfg.bettor.partition(":")[0] not in ("bayes_kelly", "bayes_kelly_full") or cfg.dgp == "alt":
+    if cfg.bettor.partition(":")[0] != "bayes_kelly" or cfg.dgp == "alt":
         return
     if cfg.dgp == "null":
         low, top = 0, cfg.null_top
@@ -722,8 +723,8 @@ def _log_q_levels(model, depth: int) -> list:
     the string's binary code (first symbol most significant).  One
     depth-first walk of the prefix tree with ``start``/``advance``/``probs``
     computes each node once: a child's total is its parent's plus
-    ``math.log(p)``, the fold :meth:`AlternativeModel.sequence_log_probability`
-    makes, so every entry equals that call bit for bit.  Strings through a
+    ``math.log(p)``, the fold :meth:`AlternativeModel.prefix_log_probabilities`
+    makes, so every entry equals ``sequence_log_probability`` bit for bit.  Strings through a
     zero-probability symbol stay -inf, and the walk never advances past one.
     """
     levels = [np.full(1 << k, -math.inf) for k in range(depth + 1)]
@@ -771,17 +772,15 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
 
     from .eprocess import run_eprocess as _run_states
 
-    states = _run_states(data, model)
+    records = _run_states(data, model)
     with (out_dir / "eprocess_trajectory.csv").open("w", encoding="utf-8") as fh:
         fh.write("n,z,ones,log_q,log_ml,e_value,log10_e\n")
-        for state, z in zip(states, data):
-            log_ml = log_ml_sup(state.n, state.ones)
-            log10_e = (
-                (state.log_q - log_ml) / _LN10 if state.log_q > -math.inf else -math.inf
-            )
+        for record, z in zip(records, data):
+            # (-inf - log_ml) / ln 10 is -inf once the prefix is impossible
+            log10_e = (record.log_q - record.log_ml) / _LN10
             fh.write(
-                f"{state.n},{int(z)},{state.ones},{_fmt(state.log_q)},"
-                f"{_fmt(log_ml)},{_fmt(state.value)},{_fmt(log10_e)}\n"
+                f"{record.n},{int(z)},{record.ones},{_fmt(record.log_q)},"
+                f"{_fmt(record.log_ml)},{_fmt(record.value)},{_fmt(log10_e)}\n"
             )
 
     thetas = [i / 10.0 for i in range(11)]
@@ -802,7 +801,7 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
                 )
             log_ml = [log_ml_sup(n, ones) for ones in range(n + 1)]
             values = [
-                0.0 if q == -math.inf else math.exp(q - log_ml[bin(code).count("1")])
+                linear_from_log(q - log_ml[bin(code).count("1")])
                 for code, q in enumerate(log_q)
             ]
 
@@ -822,8 +821,8 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
         "command": "eprocess",
         "alt": cfg.alt,
         "horizon": cfg.horizon,
-        "final_e_value": states[-1].value if states else 1.0,
-        "max_e_value": max((s.value for s in states), default=1.0),
+        "final_e_value": records[-1].value if records else 1.0,
+        "max_e_value": max((r.value for r in records), default=1.0),
         "evar_grid_max_n": n_grid[-1] if n_grid else 0,
         "evar_max_expectation": evar_max,
         "evar_tolerance": EVAR_TOL,

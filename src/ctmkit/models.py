@@ -4,7 +4,8 @@ A model is three methods, all that sampling, the betting engine, the
 e-process and the oracle ask of it: ``start()`` gives the forward state
 before any symbol, ``advance(state, z)`` the state after one more symbol,
 and ``probs(state)`` the next-symbol law.  Models are horizon-free: the run
-length is a runtime parameter, never a model parameter.
+length is a runtime parameter, never a model parameter.  Log probabilities
+are folded once, by ``prefix_log_probabilities``, which the e-process reads.
 
 The step also comes batched, ``advance_batch(states, symbols)`` and
 ``probs_batch(states)``, which loop over the scalar methods by default.  The
@@ -114,9 +115,12 @@ class AlternativeModel(ABC):
         """
         return self.probs_batch(states)
 
-    def sequence_log_probability(self, seq: Sequence[int]) -> float:
-        """Natural log probability of a finite sequence; -inf when impossible."""
+    def prefix_log_probabilities(self, seq: Sequence[int]) -> list:
+        """Natural log probabilities of ``seq[:1]``, ``seq[:2]``, ...: -inf from the
+        first impossible symbol on, past which the fold never advances.  It
+        advances only before it reads the next symbol, N - 1 times for N."""
         seq = [int(z) for z in seq]
+        out = []
         total = 0.0
         state = self.start()
         for n, z in enumerate(seq):
@@ -124,9 +128,15 @@ class AlternativeModel(ABC):
                 state = self.advance(state, seq[n - 1])
             prob = float(self.probs(state)[z])
             if prob <= 0.0:
-                return -math.inf
+                return out + [-math.inf] * (len(seq) - n)
             total += math.log(prob)
-        return total
+            out.append(total)
+        return out
+
+    def sequence_log_probability(self, seq: Sequence[int]) -> float:
+        """Natural log probability of a finite sequence; -inf when impossible."""
+        logs = self.prefix_log_probabilities(seq)
+        return logs[-1] if logs else 0.0
 
     def sample(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         """Draw one sequence of length ``horizon``."""

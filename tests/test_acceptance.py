@@ -20,15 +20,14 @@ from ctmkit import (
     bk_factor_sequences,
     cell_tree,
     changepoint_model,
-    eprocess_step,
     evariable_expectation,
     expected_log_wealth,
     example_distinct_report,
     iid_model,
-    initial_state,
     markov_model,
     pushforward_kl,
     pvalue_step,
+    run_eprocess,
     sample_betting_family,
     score_window,
 )
@@ -194,10 +193,7 @@ def test_criterion_5_evariable_bound():
             def statistic(bits, _cache=cache, _model=model):
                 value = _cache.get(bits)
                 if value is None:
-                    state = initial_state()
-                    for z in bits:
-                        state = eprocess_step(state, z, _model)
-                    value = state.value
+                    value = run_eprocess(bits, _model)[-1].value
                     _cache[bits] = value
                 return value
 

@@ -62,6 +62,22 @@ class TestSimulateCommand:
         rows = (tmp_path / "overridden" / "trajectory.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 2 * 6  # horizon flag won over the config value
 
+    def test_config_integers_are_not_truncated(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        for horizon in (12.7, True):
+            config.write_text(json.dumps({"horizon": horizon}), encoding="utf-8")
+            argv = ["simulate", "--config", str(config), "--seed", "1",
+                    "--out", str(tmp_path / "run")]
+            assert main(argv) == 1
+            assert (f"config error: horizon: must be an integer, got {horizon!r}"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "run").exists()
+        config.write_text(json.dumps({"horizon": 12.0, "reps": 1}), encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--seed", "1",
+                     "--out", str(tmp_path / "run")]) == 0
+        rows = (tmp_path / "run" / "trajectory.csv").read_text().strip().split("\n")
+        assert len(rows) == 1 + 12
+
     def test_byte_identical_reruns(self, tmp_path):
         assert main(["simulate", *_simulate_args(tmp_path / "a")]) == 0
         assert main(["simulate", *_simulate_args(tmp_path / "b")]) == 0

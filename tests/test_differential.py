@@ -5,7 +5,9 @@ the step that made it.  The reference below forgets those states: it folds
 ``model.state_after`` over every candidate's whole prefix at every step.
 Both must emit the same heights and factors, bit for bit on the shipped
 models and within 1e-12 on random hidden-state models, where a batched
-(gemm) step may round differently from a scalar (gemv) one.
+(gemm) step may round differently from a scalar (gemv) one.  The explicit
+bettor is in turn the reference for the collapsed one, on an instance both
+accept.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from ctmkit import (
     AlternativeModel,
     BayesKellyBettor,
+    CollapsedBayesKellyBettor,
     ConstantBettor,
     DistanceToMeanMeasure,
     HiddenStateModel,
@@ -24,11 +27,13 @@ from ctmkit import (
     PointMassModel,
     TableModel,
     bayes_kelly,
+    bayes_kelly_bettor,
     changepoint_model,
     ctm_run,
     iid_model,
     markov_model,
 )
+from ctmkit.harness import substream
 
 MEASURES = {"identity": IdentityMeasure, "distmean": DistanceToMeanMeasure}
 
@@ -181,3 +186,23 @@ class TestCarriedStates:
         finally:
             for method in calls:
                 del model.__dict__[method]
+
+
+class TestExplicitAgainstCollapsed:
+    def test_full_bettor_matches_collapsed(self):
+        # the explicit engine on an instance that bayes_kelly_bettor collapses
+        # (binary changepoint alternative, identity measure), on the data and
+        # tie-breaking streams of simulate --seed 77 --horizon 10 --reps 3
+        # --dgp alt
+        model, measure = changepoint_model(0.5, 0.9, 0.2), IdentityMeasure()
+        for rep in range(3):
+            data = model.sample(10, substream(77, 0, rep, 0))
+            taus = substream(77, 0, rep, 1).random(10)
+            collapsed = bayes_kelly_bettor(model, measure)
+            assert type(collapsed) is CollapsedBayesKellyBettor
+            fast = ctm_run(data, measure, collapsed, taus, 10)
+            full = ctm_run(data, measure, BayesKellyBettor(model, measure), taus, 10)
+            assert len(full) == len(fast) == 10
+            for a, b in zip(full, fast):
+                assert (a.n_star, a.n_upper, a.p) == (b.n_star, b.n_upper, b.p)
+                assert math.isclose(a.factor, b.factor, rel_tol=0.0, abs_tol=1e-12)

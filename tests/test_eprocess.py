@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from ctmkit import (
-    eprocess_step,
     example_distinct_report,
-    initial_state,
     iid_model,
     log_empirical_ml,
     log_ml_sup,
@@ -50,47 +48,45 @@ class TestMlSup:
             assert _ml_sup(n, k) >= theta**k * (1.0 - theta) ** (n - k)
 
 
-class TestEProcessStep:
-    def test_initial_value(self):
-        assert initial_state().value == 1.0
+class TestRunEProcess:
+    def test_empty_data_has_no_records(self):
+        assert run_eprocess([], iid_model([0.5, 0.5])) == []
 
     def test_balanced_pair_hits_one(self):
         model = iid_model([0.5, 0.5])
-        state = eprocess_step(initial_state(), 1, model)
-        state = eprocess_step(state, 0, model)
-        assert state.value == pytest.approx(1.0, rel=1e-14)
-        assert state.ones == 1 and state.n == 2
+        record = run_eprocess([1, 0], model)[-1]
+        assert record.value == pytest.approx(1.0, rel=1e-14)
+        assert record.ones == 1 and record.n == 2
 
     def test_repeated_symbol_quarter(self):
         model = iid_model([0.5, 0.5])
-        state = eprocess_step(initial_state(), 1, model)
-        state = eprocess_step(state, 1, model)
-        assert state.value == pytest.approx(0.25, rel=1e-14)
+        record = run_eprocess([1, 1], model)[-1]
+        assert record.value == pytest.approx(0.25, rel=1e-14)
 
     def test_zero_probability_is_absorbing(self):
         model = markov_model(0.0, 0.0, 1.0)  # always 1 after starting at 1
-        state = eprocess_step(initial_state(), 1, model)
-        assert state.value > 0
-        state = eprocess_step(state, 0, model)
-        assert state.value == 0.0 and state.log_q == -math.inf
-        state = eprocess_step(state, 1, model)
-        assert state.value == 0.0
+        records = run_eprocess([1, 0, 1], model)
+        assert records[0].value > 0
+        assert records[1].value == 0.0 and records[1].log_q == -math.inf
+        assert records[2].value == 0.0 and records[2].log_q == -math.inf
 
     def test_non_bit_rejected(self):
-        with pytest.raises(ValueError):
-            eprocess_step(initial_state(), 2, iid_model([0.5, 0.5]))
+        with pytest.raises(ValueError, match="expects bits, got 2"):
+            run_eprocess([0, 1, 2], iid_model([0.5, 0.5]))
 
     def test_non_binary_model_rejected(self):
-        with pytest.raises(ValueError):
-            eprocess_step(initial_state(), 0, iid_model([0.2, 0.3, 0.5]))
+        for data in ([0], []):
+            with pytest.raises(ValueError, match="binary alternative"):
+                run_eprocess(data, iid_model([0.2, 0.3, 0.5]))
 
     def test_value_consistent_with_logs(self):
         rng = np.random.default_rng(18)
         model = markov_model(0.1, 0.1)
-        states = run_eprocess(rng.integers(0, 2, 30), model)
-        for state in states:
-            want = math.exp(state.log_q - log_ml_sup(state.n, state.ones))
-            assert state.value == pytest.approx(want, rel=1e-12)
+        records = run_eprocess(rng.integers(0, 2, 30), model)
+        for record in records:
+            assert record.log_ml == log_ml_sup(record.n, record.ones)
+            want = math.exp(record.log_q - log_ml_sup(record.n, record.ones))
+            assert record.value == pytest.approx(want, rel=1e-12)
 
 
 class TestEmpiricalMl:

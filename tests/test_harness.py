@@ -11,8 +11,6 @@ from scipy import special, stats
 
 from ctmkit import (
     AlternativeModel,
-    BayesKellyBettor,
-    CollapsedBayesKellyBettor,
     HiddenStateModel,
     IdentityMeasure,
     PointMassModel,
@@ -35,7 +33,6 @@ from ctmkit.harness import (
     ExperimentConfig,
     audit_trajectory,
     build_alternative,
-    build_bettor,
     build_measure,
     ks_uniform,
     run_eprocess,
@@ -87,6 +84,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bettor"):
             _cfg(tmp_path, bettor="martingale")
 
+    def test_full_bettor_spec_is_gone(self, tmp_path):
+        # the explicit engine is picked by bayes_kelly_bettor, not by a flag
+        with pytest.raises(ConfigError, match="bettor: must be bayes_kelly, constant or "
+                                              "density:<path>, got 'bayes_kelly_full'"):
+            _cfg(tmp_path, bettor="bayes_kelly_full")
+
     def test_bad_dgp_named(self, tmp_path):
         with pytest.raises(ConfigError, match="dgp"):
             _cfg(tmp_path, dgp="surprise")
@@ -94,6 +97,19 @@ class TestConfig:
     def test_integer_coercion(self, tmp_path):
         cfg = _cfg(tmp_path, seed="12", reps="3")
         assert cfg.seed == 12 and cfg.reps == 3
+
+    @pytest.mark.parametrize("name", ["seed", "horizon", "reps", "rivals", "jobs"])
+    def test_integral_values_are_read(self, tmp_path, name):
+        for value in (12, 12.0, "12"):
+            cfg = _cfg(tmp_path, **{name: value})
+            assert getattr(cfg, name) == 12 and type(getattr(cfg, name)) is int
+
+    @pytest.mark.parametrize("name", ["seed", "horizon", "reps", "rivals", "jobs"])
+    def test_fractions_and_booleans_are_refused(self, tmp_path, name):
+        # int() would truncate 12.7 to 12 and read True as 1
+        for value in (12.7, True, False, math.inf, math.nan, "12.5"):
+            with pytest.raises(ConfigError, match=rf"{name}: must be an integer, got "):
+                _cfg(tmp_path, **{name: value})
 
 
 class TestFormatStrings:
@@ -204,23 +220,6 @@ class TestSimulate:
         gap = abs(report["mean_log_wealth"] - target)
         assert gap <= 3.0 * report["se_log_wealth"]
 
-    def test_full_bettor_matches_collapsed(self, tmp_path):
-        # bayes_kelly_full forces the explicit engine on an instance that
-        # bayes_kelly collapses (binary changepoint alternative, identity)
-        full = _cfg(tmp_path / "full", bettor="bayes_kelly_full", dgp="alt", reps=3)
-        fast = _cfg(tmp_path / "fast", dgp="alt", reps=3)
-        assert type(build_bettor(full)[0]) is BayesKellyBettor
-        assert type(build_bettor(fast)[0]) is CollapsedBayesKellyBettor
-        rows = []
-        for cfg in (full, fast):
-            assert run_simulate(cfg)["ok"] is True
-            lines = (Path(cfg.out) / "trajectory.csv").read_text().strip().split("\n")[1:]
-            rows.append([line.split(",") for line in lines])
-        assert len(rows[0]) == len(rows[1]) == 3 * 10
-        for a, b in zip(*rows):
-            assert a[:7] == b[:7]  # rep, n, z, tau, n_star, n_upper, p
-            assert float(a[7]) == pytest.approx(float(b[7]), abs=1e-12)
-
     def test_alternative_built_once_per_command(self, tmp_path, monkeypatch):
         built = []
         build = harness.build_alternative
@@ -295,7 +294,6 @@ class TestSimulate:
         symbols.write_text("1\n0\n1\n2\n", encoding="utf-8")
         for overrides, message in (
             (dict(null="uniform"), "integer observations"),
-            (dict(null="normal", bettor="bayes_kelly_full"), "integer observations"),
             (dict(dgp=f"file:{reals}", horizon=2), "integer observations"),
             (dict(null="categorical:0.2,0.3,0.5"), r"alphabet \[0, 2\)"),
             # a value past the horizon is still part of the loaded stream

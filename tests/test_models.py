@@ -482,6 +482,18 @@ class TestForwardStateBitIdentity:
                 assert model.sequence_log_probability(seq) == _ref_log_probability(model, seq)
 
     @pytest.mark.parametrize("model,depth", MODELS, ids=_ids(MODELS))
+    def test_prefix_log_probabilities(self, model, depth):
+        # every sequence up to the depth, the impossible ones too: entry k - 1
+        # is the log probability of the length-k prefix, bit for bit
+        for length in range(depth + 1):
+            for seq in _all_sequences(model.alphabet_size, length).tolist():
+                got = model.prefix_log_probabilities(seq)
+                assert len(got) == length
+                for k in range(1, length + 1):
+                    assert got[k - 1] == model.sequence_log_probability(seq[:k])
+                    assert got[k - 1] == _ref_log_probability(model, seq[:k])
+
+    @pytest.mark.parametrize("model,depth", MODELS, ids=_ids(MODELS))
     def test_conditional_batch(self, model, depth):
         for length in range(min(depth, 6) + 1):
             rows = _all_sequences(model.alphabet_size, length)
@@ -592,9 +604,12 @@ class TestModelContract:
         for bits in (data, noisy):
             model = CONTRACT[name]()
             calls = _count_advances(model)
-            states = run_eprocess(bits, model)
-            # past each symbol while the prefix stays possible, never after
-            assert calls == bits[: sum(s.log_q > -math.inf for s in states)]
+            records = run_eprocess(bits, model)
+            # the log-probability fold advances before it reads each next
+            # symbol, so past every possible symbol but the last, never past
+            # an impossible one
+            possible = sum(r.log_q > -math.inf for r in records)
+            assert calls == bits[: min(possible, len(bits) - 1)]
 
     @pytest.mark.parametrize("name", CONTRACT)
     def test_explicit_bettor_advances_once_per_tree_edge(self, name, monkeypatch):
@@ -674,12 +689,17 @@ class TestForwardStateEdges:
             assert model.sequence_log_probability(seq) == -math.inf
             # advanced past the symbols before the impossible one, never past it
             assert calls == seq[:impossible]
+            calls.clear()
+            logs = model.prefix_log_probabilities(seq)
+            assert all(q > -math.inf for q in logs[:impossible])
+            assert logs[impossible:] == [-math.inf] * (len(seq) - impossible)
+            assert calls == seq[:impossible]
 
     def test_eprocess_absorbs_at_zero(self):
         model = markov_model(0.0, 0.0, 1.0)
-        states = run_eprocess([1, 1, 0, 1, 1, 0, 1], model)
-        assert [s.value > 0.0 for s in states] == [True, True] + [False] * 5
-        assert all(s.log_q == -math.inf for s in states[2:])
+        records = run_eprocess([1, 1, 0, 1, 1, 0, 1], model)
+        assert [r.value > 0.0 for r in records] == [True, True] + [False] * 5
+        assert all(r.log_q == -math.inf for r in records[2:])
 
     def test_frozen_markov_samples_at_horizon_50(self):
         assert markov_model(0.0, 0.0, 1.0).sample(50, np.random.default_rng(0)).tolist() == [1] * 50

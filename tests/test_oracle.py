@@ -18,10 +18,9 @@ from ctmkit import (
     evariable_expectation,
     expected_log_wealth,
     iid_model,
-    initial_state,
-    eprocess_step,
     markov_model,
     pushforward_kl,
+    run_eprocess,
     sample_betting_family,
 )
 
@@ -234,10 +233,7 @@ class TestEVariableExpectation:
         model = iid_model([0.5, 0.5])
 
         def statistic(bits):
-            state = initial_state()
-            for z in bits:
-                state = eprocess_step(state, z, model)
-            return state.value
+            return run_eprocess(bits, model)[-1].value
 
         got = evariable_expectation(statistic, 0.5, 10)
         assert got <= 1.0 + 1e-12
