@@ -106,10 +106,6 @@ class HypothesisSet:
     def __len__(self) -> int:
         return int(self.prefixes.shape[0])
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
 
 def extend(hset: HypothesisSet, model: AlternativeModel) -> HypothesisSet:
     """Extend every candidate by every symbol, weighted by the conditional law.
@@ -239,7 +235,7 @@ class BayesKellyBettor(_BayesKelly):
         k = n_upper - n_star
         n = ext.step
         # each candidate spreads weight * n/k over grid cells [n_star, n_upper)
-        heights = _grid_heights(n, ext.weights / ext.total_weight * n / k, n_star, n_upper)
+        heights = _grid_heights(n, ext.weights / ext.weights.sum() * n / k, n_star, n_upper)
         low = float(heights.min(initial=0.0))
         if low < -1e-9:
             raise AssertionError(f"predictive density went negative: {low}")

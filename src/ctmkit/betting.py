@@ -126,9 +126,6 @@ class PiecewiseDensity:
     def uniform(cls, n: int = 1) -> "PiecewiseDensity":
         return cls(np.ones(n))
 
-    def integral(self) -> float:
-        return math.fsum(self._array.tolist()) / self.n
-
     def evaluate(self, p: float) -> float:
         """Height of the grid interval containing ``p``.
 
@@ -208,22 +205,18 @@ class ConstantBettor(BettingMartingale):
 class ShrunkAlternativeBettor(BettingMartingale):
     """Product-measure alternative given directly on the p-value scale.
 
-    ``family`` maps step indices (1-based) to densities; steps the family is
-    silent about get the uniform density.  Accepts a mapping or a sequence
-    (interpreted as steps 1..K), with entries given as ``PiecewiseDensity``
-    or raw height tuples.  Every entry is validated up front so a
-    non-normalized table fails at construction, naming the offending step;
-    :attr:`family` is the validated table, which a new bettor takes as is.
+    ``family`` is a mapping from step indices (1-based) to densities; steps
+    the family is silent about get the uniform density.  Entries are given
+    as ``PiecewiseDensity`` or raw height tuples.  Every entry is validated
+    up front so a non-normalized table fails at construction, naming the
+    offending step; :attr:`family` is the validated table, which a new
+    bettor takes as is.
     """
 
     def __init__(self, family):
         super().__init__()
-        if hasattr(family, "items"):
-            raw = dict(family.items())
-        else:
-            raw = {i + 1: d for i, d in enumerate(family)}
         table = {}
-        for step, entry in raw.items():
+        for step, entry in family.items():
             step = int(step)
             if step < 1:
                 raise ValueError(f"step indices are 1-based, got {step}")

@@ -21,7 +21,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .betting import linear_from_log
-from .models import AlternativeModel
+from .models import AlternativeModel, symbol_list
 
 __all__ = [
     "EProcessRecord",
@@ -69,10 +69,7 @@ def run_eprocess(data, model: AlternativeModel) -> list:
     """E-process trajectory over a bit sequence, one record per step."""
     if model.alphabet_size != 2:
         raise ValueError("binary e-process needs a binary alternative")
-    bits = [int(z) for z in data]
-    for z in bits:
-        if z not in (0, 1):
-            raise ValueError(f"binary e-process expects bits, got {z}")
+    bits = symbol_list(data, 2, "binary e-process expects bits")
     out = []
     ones = 0
     for n, (z, log_q) in enumerate(zip(bits, model.prefix_log_probabilities(bits)), start=1):

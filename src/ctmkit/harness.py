@@ -107,8 +107,11 @@ class ExperimentConfig:
                 problems.append(f"{name}: {rule}")
 
         def build(name, parse, *args):
+            value = getattr(self, name)
             try:
-                return parse(getattr(self, name), *args)
+                if not isinstance(value, str):
+                    raise ConfigError(f"{name}: must be a string, got {value!r}")
+                return parse(value, *args)
             except ConfigError as err:
                 problems.append(str(err))
             except Exception as err:  # noqa: BLE001 - reported as a config problem
@@ -268,7 +271,7 @@ def _parse_tau_mode(spec: str):
 def _load_bettor(spec: str):
     """The validated per-step family of a ``density:PATH`` bettor, else None."""
     kind, _, path = spec.partition(":")
-    if kind not in ("bayes_kelly", "constant", "density"):
+    if spec not in ("bayes_kelly", "constant") and kind != "density":
         raise ConfigError("bettor: must be bayes_kelly, constant or density:<path>, "
                           f"got {spec!r}")
     if kind != "density":
@@ -374,26 +377,17 @@ def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
     }
 
 
-def _chunk_payloads(args):
-    cfg, rep_list = args
-    return [_replicate_payload(cfg, rep) for rep in rep_list]
-
-
 def _iter_payloads(cfg: ExperimentConfig):
+    """Every replicate's payload in replicate order, from one worker or many."""
+    replicate = partial(_replicate_payload, cfg)
     if cfg.jobs <= 1:
-        for rep in range(cfg.reps):
-            yield _replicate_payload(cfg, rep)
+        yield from map(replicate, range(cfg.reps))
         return
     from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
 
     chunk = max(1, math.ceil(cfg.reps / (cfg.jobs * 8)))
-    chunks = [
-        (cfg, list(range(start, min(start + chunk, cfg.reps))))
-        for start in range(0, cfg.reps, chunk)
-    ]
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        for result in pool.map(_chunk_payloads, chunks):
-            yield from result
+        yield from pool.map(replicate, range(cfg.reps), chunksize=chunk)
 
 
 # -- output formatting -------------------------------------------------------
@@ -412,17 +406,14 @@ def _fmt_obs(z) -> str:
 
 def _format_rows(rep: int, payload: dict) -> str:
     lines = []
-    z_arr = payload["z"]
-    integral = np.issubdtype(np.asarray(z_arr).dtype, np.integer)
     for i in range(payload["p"].size):
         log_w = float(payload["log_wealth"][i])
-        z = int(z_arr[i]) if integral else float(z_arr[i])
         lines.append(
             ",".join(
                 (
                     str(rep),
                     str(i + 1),
-                    _fmt_obs(z),
+                    _fmt_obs(payload["z"][i]),
                     _fmt(payload["tau"][i]),
                     str(int(payload["n_star"][i])),
                     str(int(payload["n_upper"][i])),
@@ -439,8 +430,6 @@ def _format_rows(rep: int, payload: dict) -> str:
 def _sanitize(value):
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
     if isinstance(value, (bool, str, int)) or value is None:
         return value
     f = float(value)
@@ -764,7 +753,7 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     if not np.issubdtype(data.dtype, np.integer):
         raise ConfigError("null: the e-process path needs binary integer data")
     data = data[: cfg.horizon]
-    if data.size and (int(data.min()) < 0 or int(data.max()) > 1):
+    if int(data.min()) < 0 or int(data.max()) > 1:
         raise ConfigError("dgp: the e-process path needs bits (0/1)")
 
     out_dir = Path(cfg.out)
@@ -821,9 +810,9 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
         "command": "eprocess",
         "alt": cfg.alt,
         "horizon": cfg.horizon,
-        "final_e_value": records[-1].value if records else 1.0,
-        "max_e_value": max((r.value for r in records), default=1.0),
-        "evar_grid_max_n": n_grid[-1] if n_grid else 0,
+        "final_e_value": records[-1].value,
+        "max_e_value": max(r.value for r in records),
+        "evar_grid_max_n": n_grid[-1],
         "evar_max_expectation": evar_max,
         "evar_tolerance": EVAR_TOL,
         "evar_ok": bool(evar_ok),

@@ -47,6 +47,17 @@ def _check_laws(what: str, laws: np.ndarray) -> None:
         )
 
 
+def symbol_list(seq, alphabet_size: int, what: str) -> list:
+    """``seq`` as a list of ints, checked in one vectorised pass: a value equal to an
+    integer in ``[0, alphabet_size)`` is read as it; else a ValueError names it."""
+    values = np.asarray(seq, dtype=float)  # NaN fails every comparison below
+    bad = ~((values >= 0.0) & (values < alphabet_size) & (values == np.floor(values)))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{what}, got {np.asarray(seq)[i].item()!r} at position {i}")
+    return values.astype(np.int64).tolist()
+
+
 def _validate_prob(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
@@ -119,7 +130,8 @@ class AlternativeModel(ABC):
         """Natural log probabilities of ``seq[:1]``, ``seq[:2]``, ...: -inf from the
         first impossible symbol on, past which the fold never advances.  It
         advances only before it reads the next symbol, N - 1 times for N."""
-        seq = [int(z) for z in seq]
+        seq = symbol_list(seq, self.alphabet_size,
+                          f"symbols must be in range({self.alphabet_size})")
         out = []
         total = 0.0
         state = self.start()

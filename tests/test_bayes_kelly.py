@@ -69,7 +69,7 @@ class TestHypothesisSet:
         root = HypothesisSet.root()
         assert root.step == 0
         assert len(root) == 1
-        assert root.total_weight == 1.0
+        assert root.weights.sum() == 1.0
 
 
 class TestExtend:

@@ -78,6 +78,24 @@ class TestSimulateCommand:
         rows = (tmp_path / "run" / "trajectory.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 12
 
+    def test_config_specs_must_be_strings_and_bettors_take_no_suffix(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        runs = [
+            ({"alt": 5}, "alt: must be a string, got 5"),
+            ({"tau_mode": 0.5}, "tau_mode: must be a string, got 0.5"),
+            ({"bettor": "bayes_kelly:oops"}, "bettor: must be bayes_kelly, constant or "
+                                             "density:<path>, got 'bayes_kelly:oops'"),
+            ({"bettor": "constant:0.5"}, "bettor: must be bayes_kelly, constant or "
+                                         "density:<path>, got 'constant:0.5'"),
+        ]
+        for mapping, message in runs:
+            config.write_text(json.dumps({"horizon": 3, **mapping}), encoding="utf-8")
+            argv = ["simulate", "--config", str(config), "--seed", "1",
+                    "--out", str(tmp_path / "run")]
+            assert main(argv) == 1
+            assert f"config error: {message}\n" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         assert main(["simulate", *_simulate_args(tmp_path / "a")]) == 0
         assert main(["simulate", *_simulate_args(tmp_path / "b")]) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestRunEProcess:
     def test_non_bit_rejected(self):
         with pytest.raises(ValueError, match="expects bits, got 2"):
             run_eprocess([0, 1, 2], iid_model([0.5, 0.5]))
+
+    @pytest.mark.parametrize("data, position, shown", [
+        ([0.7, 1.2], 0, "0.7"), ([1, 0.5], 1, "0.5"), ([0, math.nan], 1, "nan"),
+        ([1, 1, math.inf], 2, "inf"), ([-1, 1], 0, "-1")])
+    def test_non_integer_bits_rejected(self, data, position, shown):
+        # int() would read [0.7, 1.2] as the bits (0, 1)
+        message = rf"expects bits, got {re.escape(shown)} at position {position}$"
+        with pytest.raises(ValueError, match=message):
+            run_eprocess(data, markov_model(0.1, 0.1))
+
+    def test_integer_valued_bits_accepted(self):
+        model = markov_model(0.1, 0.1)
+        want = run_eprocess([1, 0, 0], model)
+        for data in ([1.0, 0.0, 0.0], [True, False, False], np.array([1, 0, 0], dtype=np.int8)):
+            assert run_eprocess(data, model) == want
 
     def test_non_binary_model_rejected(self):
         for data in ([0], []):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -89,6 +90,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bettor: must be bayes_kelly, constant or "
                                               "density:<path>, got 'bayes_kelly_full'"):
             _cfg(tmp_path, bettor="bayes_kelly_full")
+
+    @pytest.mark.parametrize("spec", ["bayes_kelly:oops", "bayes_kelly:", "constant:0.5",
+                                      "constant:"])
+    def test_bettor_suffix_refused_unless_density(self, tmp_path, spec):
+        # a suffix that looks like a parameter must not be dropped silently
+        with pytest.raises(ConfigError, match="^bettor: must be bayes_kelly, constant or "
+                                              f"density:<path>, got '{spec}'$"):
+            _cfg(tmp_path, bettor=spec)
+
+    @pytest.mark.parametrize(
+        "name", ["null", "alt", "measure", "bettor", "dgp", "tau_mode", "example1"])
+    def test_non_string_spec_refused(self, tmp_path, name):
+        for value in (5, 0.5, None, ["identity"]):
+            with pytest.raises(ConfigError, match=rf"^{name}: must be a string, got "
+                                                  rf"{re.escape(repr(value))}$"):
+                _cfg(tmp_path, **{name: value})
 
     def test_bad_dgp_named(self, tmp_path):
         with pytest.raises(ConfigError, match="dgp"):
@@ -195,8 +212,11 @@ class TestSimulate:
         "tau_constant": dict(tau_mode="constant:0.5"),
     }
 
+    # 6 replicates give --jobs 2 chunks of one; 37 give chunks of three and a
+    # short last chunk of one
+    @pytest.mark.parametrize("reps", [6, 37])
     @pytest.mark.parametrize("case", list(PARALLEL_CASES))
-    def test_parallel_matches_serial(self, tmp_path, case):
+    def test_parallel_matches_serial(self, tmp_path, case, reps):
         paths = {"family": tmp_path / "family.json", "table": tmp_path / "table.json",
                  "stream": tmp_path / "stream.txt"}
         paths["family"].write_text('{"1": [2.0, 0.0], "3": [0.5, 1.5]}', encoding="utf-8")
@@ -206,7 +226,7 @@ class TestSimulate:
         overrides = {k: v.format(**paths) for k, v in self.PARALLEL_CASES[case].items()}
         outs = []
         for jobs in (1, 2):
-            cfg = _cfg(tmp_path / f"jobs{jobs}", reps=6, horizon=8, jobs=jobs, **overrides)
+            cfg = _cfg(tmp_path / f"jobs{jobs}", reps=reps, horizon=8, jobs=jobs, **overrides)
             assert run_simulate(cfg)["ok"] is True
             outs.append([(Path(cfg.out) / name).read_bytes()
                          for name in ("trajectory.csv", "summary.json")])

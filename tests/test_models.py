@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -694,6 +695,39 @@ class TestForwardStateEdges:
             assert all(q > -math.inf for q in logs[:impossible])
             assert logs[impossible:] == [-math.inf] * (len(seq) - impossible)
             assert calls == seq[:impossible]
+
+    # (model, symbols, position and value of the first one outside the alphabet)
+    BAD_SYMBOLS = [
+        (changepoint_model(0.5, 0.9, 0.2), [0.7, 1], 0, "0.7"),
+        (changepoint_model(0.5, 0.9, 0.2), [1.9, 1], 0, "1.9"),
+        (changepoint_model(0.5, 0.9, 0.2), [1, math.nan], 1, "nan"),
+        (changepoint_model(0.5, 0.9, 0.2), [1, 1, math.inf], 2, "inf"),
+        (changepoint_model(0.5, 0.9, 0.2), [-1, 1], 0, "-1"),
+        (changepoint_model(0.5, 0.9, 0.2), [2, 1], 0, "2"),
+        (iid_model([0.2, 0.3, 0.5]), [2, 0, 3], 2, "3"),
+    ]
+
+    @pytest.mark.parametrize("model, seq, position, shown", BAD_SYMBOLS)
+    def test_symbols_are_neither_wrapped_nor_truncated(self, model, seq, position, shown):
+        # int(z) would read 1.9 as 1 and 0.7 as 0, and probs(state)[-1] would
+        # read the last symbol's probability for -1
+        message = (rf"^symbols must be in range\({model.alphabet_size}\), "
+                   rf"got {re.escape(shown)} at position {position}$")
+        for data in (seq, np.asarray(seq)):
+            with pytest.raises(ValueError, match=message):
+                model.prefix_log_probabilities(data)
+            with pytest.raises(ValueError, match=message):
+                model.sequence_log_probability(data)
+
+    def test_integer_valued_symbols_keep_their_bits(self):
+        model = changepoint_model(0.5, 0.9, 0.2)
+        want = model.prefix_log_probabilities([1, 0, 1, 1])
+        assert want[-1] == _ref_log_probability(model, (1, 0, 1, 1))
+        for seq in ((1, 0, 1, 1), [True, False, True, True], [1.0, 0.0, 1.0, 1.0],
+                    np.array([1, 0, 1, 1], dtype=np.int8), np.array([1.0, 0.0, 1.0, 1.0])):
+            assert model.prefix_log_probabilities(seq) == want
+        assert model.prefix_log_probabilities([]) == []
+        assert model.sequence_log_probability([]) == 0.0
 
     def test_eprocess_absorbs_at_zero(self):
         model = markov_model(0.0, 0.0, 1.0)
