@@ -611,25 +611,16 @@ def run_validate(cfg: ExperimentConfig) -> dict:
     if cfg.dgp != "null":
         raise ConfigError("dgp: validation runs under the configured null; set dgp to null")
     _check_bettor_data(cfg)
-    pooled = []
-    lag_first = []
-    lag_second = []
+    rows = []
     final_wealth = []
     for payload in _iter_payloads(cfg):
-        p = payload["p"]
-        pooled.append(p)
-        if p.size > 1:
-            lag_first.append(p[:-1])
-            lag_second.append(p[1:])
+        rows.append(payload["p"])
         final_wealth.append(linear_from_log(float(payload["log_wealth"][-1])))
-    pooled_arr = np.concatenate(pooled)
-    ks_stat, ks_p = ks_uniform(pooled_arr)
-    if lag_first:
-        a = np.concatenate(lag_first)
-        b = np.concatenate(lag_second)
-        lag1 = float(np.corrcoef(a, b)[0, 1])
-    else:
-        lag1 = 0.0
+    p = np.stack(rows)  # (reps, horizon)
+    ks_stat, ks_p = ks_uniform(p.ravel())
+    lag1 = 0.0
+    if cfg.horizon > 1:
+        lag1 = float(np.corrcoef(p[:, :-1].ravel(), p[:, 1:].ravel())[0, 1])
     wealth_arr = np.asarray(final_wealth)
     mean_w = float(wealth_arr.mean())
     se_w = float(wealth_arr.std(ddof=1) / math.sqrt(cfg.reps))
@@ -640,7 +631,7 @@ def run_validate(cfg: ExperimentConfig) -> dict:
         "command": "validate",
         "replicates": cfg.reps,
         "horizon": cfg.horizon,
-        "pooled_pvalues": int(pooled_arr.size),
+        "pooled_pvalues": int(p.size),
         "ks_statistic": ks_stat,
         "ks_pvalue": ks_p,
         "ks_threshold": KS_PVALUE_THRESHOLD,

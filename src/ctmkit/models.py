@@ -18,7 +18,9 @@ whose forward state is the normalised hidden-state posterior (the forward
 algorithm).  That makes each step's cost independent of the prefix length,
 and makes the binary instances eligible for the collapsed betting engine.
 Its batched step is the same forward algorithm on a ``(rows, H)`` array of
-posteriors.
+posteriors.  Every other shipped model is a :class:`TableModel`, whose
+forward state is a known state index: a conditional table, or a point mass,
+the table whose state is its position in its sequence.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ class AlternativeModel(ABC):
         """Probability vector of the next symbol in forward state ``state``."""
 
     def state_after(self, prefix: Sequence[int]):
-        """Forward state after ``prefix``: :meth:`advance` folded over it."""
+        """Forward state after ``prefix``: :meth:`advance` folded over its
+        symbols, checked as :meth:`prefix_log_probabilities` checks them."""
         state = self.start()
-        for z in prefix:
+        for z in symbol_list(prefix, self.alphabet_size,
+                             f"symbols must be in range({self.alphabet_size})"):
             state = self.advance(state, z)
         return state
 
@@ -284,42 +288,6 @@ def iid_model(probs) -> HiddenStateModel:
     return HiddenStateModel([1.0], probs[None, :, None], f"iid(probs={probs.tolist()})")
 
 
-class PointMassModel(AlternativeModel):
-    """Point mass on one fixed sequence (extended by repeating its last symbol).
-
-    The forward state is the number of symbols seen, so a step is O(1).  The
-    law after a prefix that already disagrees with the sequence is moot:
-    such candidates carry zero weight and are never extended.
-    """
-
-    def __init__(self, sequence, alphabet_size: int = 2):
-        super().__init__(alphabet_size)
-        seq = tuple(int(z) for z in sequence)
-        if not seq:
-            raise ValueError("point-mass sequence must be non-empty")
-        for z in seq:
-            if not 0 <= z < self.alphabet_size:
-                raise ValueError(f"symbol {z} outside alphabet of size {self.alphabet_size}")
-        self.sequence = seq
-        self._rows = np.eye(self.alphabet_size)[list(seq)]
-        self._rows.setflags(write=False)
-
-    def start(self) -> int:
-        return 0
-
-    def advance(self, state: int, z: int) -> int:
-        return state + 1
-
-    def probs(self, state: int) -> np.ndarray:
-        return self._rows[min(state, len(self.sequence) - 1)]
-
-    def advance_batch(self, states, symbols: np.ndarray) -> np.ndarray:
-        return np.asarray(states, dtype=np.int64) + 1
-
-    def probs_batch(self, states) -> np.ndarray:
-        return self._rows[np.minimum(np.asarray(states, dtype=np.int64), len(self.sequence) - 1)]
-
-
 def _prefix_count(m: int, depth: int) -> int:
     """Number of prefixes shorter than ``depth``: the rows of a ``depth``-level table."""
     return sum(m**k for k in range(depth))
@@ -332,7 +300,9 @@ class TableModel(AlternativeModel):
     then one uniform row, which every prefix at or beyond the table depth
     gets, keeping the model horizon-free.  The forward state is the index of
     the prefix's row and ``_child[row, z]`` the row after one more symbol,
-    so a step is one lookup and a batched step one fancy-indexing call.
+    so a step is one lookup and a batched step one fancy-indexing call.  A
+    subclass may fill ``_rows`` and ``_child`` with any other state table,
+    as :class:`PointMassModel` does.
     """
 
     def __init__(self, alphabet_size: int, rows: np.ndarray, depth: int):
@@ -375,21 +345,25 @@ class TableModel(AlternativeModel):
         m = int(alphabet_size)
         raw = rng.standard_exponential((_prefix_count(m, int(depth)), m))
         rows = raw / raw.sum(axis=1, keepdims=True)
-        return cls(m, rows, depth)
+        return TableModel(m, rows, depth)
 
     @classmethod
     def from_json(cls, path) -> "TableModel":
         """Load a table from JSON: ``{"alphabet_size": m, "conditionals":
         {"": [...], "0": [...], "0,1": [...], ...}}``.
 
-        Prefix keys are comma-separated symbol codes; missing prefixes get
-        the uniform conditional.
+        Prefix keys are comma-separated symbol codes, checked by
+        :func:`symbol_list`; missing prefixes get the uniform conditional.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        m = int(payload["alphabet_size"])
+        m = payload["alphabet_size"]
+        if type(m) not in (int, float, str) or not float(m).is_integer():
+            raise ValueError(f"alphabet_size must be an integer, got {m!r}")
+        m = int(float(m))
         parsed = {}
         for key, probs in payload.get("conditionals", {}).items():
-            prefix = tuple(int(t) for t in key.split(",")) if key else ()
+            prefix = tuple(symbol_list(key.split(",") if key else [], m,
+                                       f"conditionals[{key!r}] symbols must be in range({m})"))
             probs = np.asarray(probs, dtype=float)
             if probs.shape != (m,):
                 raise ValueError(
@@ -402,8 +376,28 @@ class TableModel(AlternativeModel):
         for prefix, probs in parsed.items():
             row = 0  # the prefix's row, folded as the table's advance does
             for z in prefix:
-                if not 0 <= z < m:
-                    raise ValueError(f"prefix {prefix} outside alphabet of size {m}")
                 row = row * m + 1 + z
             rows[row] = probs
-        return cls(m, rows, depth)
+        return TableModel(m, rows, depth)
+
+
+class PointMassModel(TableModel):
+    """Point mass on one fixed sequence (extended by repeating its last symbol).
+
+    A state table of L states: state i emits ``sequence[i]`` with certainty
+    and moves to ``min(i + 1, L - 1)``, so the forward state is the position,
+    capped at L - 1.  The law after a prefix that disagrees with the sequence
+    is moot: such candidates carry zero weight and are never extended.
+    """
+
+    def __init__(self, sequence, alphabet_size: int = 2):
+        AlternativeModel.__init__(self, alphabet_size)
+        m = self.alphabet_size
+        seq = symbol_list(sequence, m, f"point-mass symbols must be in range({m})")
+        if not seq:
+            raise ValueError("point-mass sequence must be non-empty")
+        self.sequence = tuple(seq)
+        self._rows = np.eye(m)[seq]
+        self._rows.setflags(write=False)
+        position = np.minimum(np.arange(1, len(seq) + 1), len(seq) - 1)
+        self._child = np.repeat(position[:, None], m, axis=1)

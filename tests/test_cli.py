@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -5,6 +6,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ctmkit
 from ctmkit.cli import main
@@ -95,6 +98,40 @@ class TestSimulateCommand:
             assert main(argv) == 1
             assert f"config error: {message}\n" in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
+
+    def test_config_model_symbols_and_alphabet_are_not_truncated(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        config = tmp_path / "config.json"
+        runs = [
+            ({"alphabet_size": 2.7, "conditionals": {"": [0.5, 0.5]}},
+             "alphabet_size must be an integer, got 2.7"),
+            ({"alphabet_size": True, "conditionals": {"": [0.5, 0.5]}},
+             "alphabet_size must be an integer, got True"),
+            ({"alphabet_size": 2, "conditionals": {"": [0.5, 0.5], "0.5": [0.9, 0.1]}},
+             "conditionals['0.5'] symbols must be in range(2), got '0.5' at position 0"),
+            ("pointmass:1,-1", "point-mass symbols must be in range(2), got -1 at position 1"),
+        ]
+        for model, message in runs:
+            alt = model
+            if isinstance(model, dict):
+                table.write_text(json.dumps(model), encoding="utf-8")
+                alt = f"table:{table}"
+            config.write_text(json.dumps({"horizon": 3, "reps": 2, "alt": alt, "dgp": "alt"}),
+                              encoding="utf-8")
+            argv = ["simulate", "--config", str(config), "--seed", "1",
+                    "--out", str(tmp_path / "run")]
+            assert main(argv) == 1
+            assert f"config error: alt: {message}\n" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+        for size in (2, 2.0, "2"):
+            table.write_text(json.dumps({"alphabet_size": size, "conditionals": {"": [0.25, 0.75]}}),
+                             encoding="utf-8")
+            config.write_text(json.dumps({"horizon": 3, "reps": 2, "alt": f"table:{table}",
+                                          "dgp": "alt", "out": str(tmp_path / f"run{size}")}),
+                              encoding="utf-8")
+            assert main(["simulate", "--config", str(config), "--seed", "1"]) == 0
+        assert (tmp_path / "run2" / "summary.json").read_bytes() == (
+            tmp_path / "run2.0" / "summary.json").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         assert main(["simulate", *_simulate_args(tmp_path / "a")]) == 0
@@ -230,6 +267,58 @@ class TestOtherCommands:
         out_dir = tmp_path / "ep"
         for name in ("eprocess_trajectory.csv", "evar_table.csv", "eprocess.json"):
             assert (out_dir / name).exists()
+
+
+# A depth-3 binary conditional table, as the pinned runs below read it.
+_TABLE3 = {"alphabet_size": 2, "conditionals": {
+    "": [0.25, 0.75], "0": [0.5, 0.5], "1": [0.9, 0.1], "0,0": [0.125, 0.875],
+    "0,1": [0.6, 0.4], "1,0": [0.3, 0.7], "1,1": [0.8, 0.2]}}
+
+# sha256 of every file that point-mass and table: runs write at seed 3, which
+# no bench digest covers; recorded before PointMassModel became a TableModel.
+_PINNED = {
+    "pointmass_simulate": (
+        ["simulate", "--alt", "pointmass:1,0,1,1,0", "--dgp", "alt", "--horizon", "30",
+         "--reps", "5"],
+        {"summary.json": "ac0209f9c98c4e410adf3227f745d0b58a8d44a1f4522a7e74a91e350c173c97",
+         "trajectory.csv": "fbb9d0690281837b879eeae011b170f167a8b7eb5ac8049d413d185e6a6e4203"}),
+    "pointmass_ternary_distmean": (
+        ["simulate", "--alt", "pointmass:2,0,1", "--null", "categorical:0.2,0.3,0.5",
+         "--measure", "distmean", "--horizon", "20", "--reps", "5"],
+        {"summary.json": "3d2d647c55b44c61ee52b15500901c4c7fa571dfcd54729d1fe3d291080d9865",
+         "trajectory.csv": "97f171fd717a5fb1f69c3b3f93eaa4892f1d251e257b448deb7e5fcc35b5e550"}),
+    "pointmass_optimality": (
+        ["optimality", "--alt", "pointmass:1,0,1", "--horizon", "5"],
+        {"certificate.json": "0b6bad06b17ae37a90ad6c46c950ba0d1fd8b6dab84f4e13e1da32caa8da4625"}),
+    "pointmass_eprocess": (
+        ["eprocess", "--alt", "pointmass:1,0,1,1", "--dgp", "alt", "--horizon", "14"],
+        {"eprocess.json": "86e6dd530cdfca56a49fc68d758f8deac7540ba4657ca8ee82078757a29083fc",
+         "eprocess_trajectory.csv":
+             "db049af289b5859ddcdcf5cbc059da7de595b6793811cb1452c283e922b6527f",
+         "evar_table.csv": "2ed28da38cdb8a7118ca7a5abc994b307b6101f538a6f1c0e8715cb3d794c067"}),
+    "table_simulate": (
+        ["simulate", "--alt", "table:table3.json", "--dgp", "alt", "--horizon", "10",
+         "--reps", "5"],
+        {"summary.json": "45e3d0dbc553735b7f79dc828c24bbb66fbd4c4ada005c946d8be262a68757ba",
+         "trajectory.csv": "53fdf73ffd5fb65ab492c9eae96551039e9832d74980abf5177d5bd0390d66bd"}),
+    "table_eprocess": (
+        ["eprocess", "--alt", "table:table3.json", "--dgp", "alt", "--horizon", "10"],
+        {"eprocess.json": "318ede1c9116659ba10fcc8b3cfcd5e919f6a54e26981dcaf198a9c69a7e5f78",
+         "eprocess_trajectory.csv":
+             "de2b3fe5d24ed1fe1bb7fb8a3b8d5a374e3bc3f1b35f1b0405901e10dfe5bed0",
+         "evar_table.csv": "08b9c1190c4fdde44a0e456f360daa234ef00b70c835b46aadc9c52259b6b254"}),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_model_runs_write_pinned_bytes(tmp_path, monkeypatch, capsys, name):
+    argv, digests = _PINNED[name]
+    monkeypatch.chdir(tmp_path)  # eprocess.json records the table path as given
+    Path("table3.json").write_text(json.dumps(_TABLE3), encoding="utf-8")
+    assert main([*argv, "--seed", "3", "--out", "run"]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in Path("run").iterdir()}
+    assert written == digests
 
 
 def _run_python(code, *args):

@@ -225,6 +225,25 @@ class TestPointMass:
         with pytest.raises(ValueError):
             PointMassModel([0, 3], alphabet_size=2)
 
+    @pytest.mark.parametrize("sequence, position, shown", [
+        ([1.9, 0], 0, "1.9"), ([1, -1], 1, "-1"), ([0, 1, math.nan], 2, "nan"),
+    ])
+    def test_symbols_are_neither_wrapped_nor_truncated(self, sequence, position, shown):
+        # int(z) would read 1.9 as 1
+        message = (rf"^point-mass symbols must be in range\(2\), "
+                   rf"got {re.escape(shown)} at position {position}$")
+        with pytest.raises(ValueError, match=message):
+            PointMassModel(sequence)
+
+    def test_integer_valued_symbols_are_read_as_ints(self):
+        for sequence in ([1, 0, 1], (True, False, True), [1.0, 0.0, 1.0],
+                         np.array([1, 0, 1], dtype=np.int8)):
+            model = PointMassModel(sequence)
+            assert model.sequence == (1, 0, 1)
+            assert {type(z) for z in model.sequence} == {int}
+        with pytest.raises(ValueError, match="non-empty"):
+            PointMassModel([])
+
     def test_sample_returns_the_sequence(self):
         m = PointMassModel([1, 0, 1], alphabet_size=2)
         assert m.sample(3, np.random.default_rng(0)).tolist() == [1, 0, 1]
@@ -277,6 +296,37 @@ class TestTableModel:
             path.write_text(json.dumps(payload), encoding="utf-8")
             with pytest.raises(ValueError, match="conditional row 0"):
                 TableModel.from_json(path)
+
+    @pytest.mark.parametrize("size", [2.7, True, False, None, "2.5", math.inf, [2]])
+    def test_from_json_refuses_a_non_integer_alphabet_size(self, tmp_path, size):
+        # int() would read 2.7 as 2 and true as 1
+        payload = {"alphabet_size": size, "conditionals": {"": [0.5, 0.5]}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="^alphabet_size must be an integer, got "):
+            TableModel.from_json(path)
+
+    @pytest.mark.parametrize("size", [2, 2.0, "2"])
+    def test_from_json_reads_an_integer_valued_alphabet_size(self, tmp_path, size):
+        payload = {"alphabet_size": size, "conditionals": {"": [0.25, 0.75]}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        m = TableModel.from_json(path)
+        assert m.alphabet_size == 2 and type(m.alphabet_size) is int
+        assert _conditional_law(m, []) == [0.25, 0.75]
+
+    @pytest.mark.parametrize("key, shown, position", [
+        ("0,2", "'2'", 1), ("-1", "'-1'", 0), ("0.5", "'0.5'", 0), ("1,nan", "'nan'", 1),
+    ])
+    def test_from_json_refuses_prefix_symbols_outside_the_alphabet(self, tmp_path, key,
+                                                                    shown, position):
+        payload = {"alphabet_size": 2, "conditionals": {"": [0.5, 0.5], key: [0.5, 0.5]}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = (rf"^conditionals\[{re.escape(repr(key))}\] symbols must be in range\(2\), "
+                   rf"got {re.escape(shown)} at position {position}$")
+        with pytest.raises(ValueError, match=message):
+            TableModel.from_json(path)
 
     @pytest.mark.parametrize("row", [0.5, [1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]])
     def test_from_json_rejects_malformed_row(self, tmp_path, row):
@@ -651,8 +701,9 @@ class TestModelContract:
 
         model.advance = recorded
         assert model.sample(n, np.random.default_rng(0)).tolist() == [1, 0, 1, 1] + [0] * (n - 4)
-        # its state is the int count of symbols seen, one advance per symbol
-        assert states == list(range(1, n))
+        # its state is the int position in the sequence, capped at its last
+        # symbol, one advance per symbol
+        assert states == [min(k, 4) for k in range(1, n)]
         assert {type(state) for state in states} == {int}
 
 
@@ -665,6 +716,20 @@ class TestInterface:
     def test_abstract_methods_are_the_forward_step(self):
         assert AlternativeModel.__abstractmethods__ == {"start", "advance", "probs"}
         assert {HiddenStateModel, PointMassModel, TableModel} <= set(SHIPPED_MODELS)
+
+    def test_a_point_mass_is_a_state_table(self):
+        assert issubclass(PointMassModel, TableModel)
+        assert isinstance(PointMassModel([1, 0]), TableModel)
+        defined = {name for name, value in PointMassModel.__dict__.items() if callable(value)}
+        assert defined == {"__init__"}
+
+    @pytest.mark.parametrize("cls", SHIPPED_MODELS, ids=lambda cls: cls.__name__)
+    def test_only_two_models_define_a_forward_step(self, cls):
+        step = {"start", "advance", "probs", "advance_batch", "probs_batch"}
+        if cls in (HiddenStateModel, TableModel):
+            assert step <= set(cls.__dict__)
+        else:
+            assert not step & set(cls.__dict__)
 
     @pytest.mark.parametrize("cls", SHIPPED_MODELS, ids=lambda cls: cls.__name__)
     def test_traced_methods_live_on_the_base_class_only(self, cls):
@@ -705,19 +770,34 @@ class TestForwardStateEdges:
         (changepoint_model(0.5, 0.9, 0.2), [-1, 1], 0, "-1"),
         (changepoint_model(0.5, 0.9, 0.2), [2, 1], 0, "2"),
         (iid_model([0.2, 0.3, 0.5]), [2, 0, 3], 2, "3"),
+        (TableModel(2, [[0.4, 0.6], [0, 1], [1, 0]], depth=2), [0.5], 0, "0.5"),
+        (PointMassModel([1, 0, 1], alphabet_size=2), [1, 0.7], 1, "0.7"),
     ]
 
     @pytest.mark.parametrize("model, seq, position, shown", BAD_SYMBOLS)
     def test_symbols_are_neither_wrapped_nor_truncated(self, model, seq, position, shown):
         # int(z) would read 1.9 as 1 and 0.7 as 0, and probs(state)[-1] would
-        # read the last symbol's probability for -1
+        # read the last symbol's probability for -1; advancing past 2 would
+        # raise a bare IndexError, and a point mass would ignore the symbol
         message = (rf"^symbols must be in range\({model.alphabet_size}\), "
                    rf"got {re.escape(shown)} at position {position}$")
         for data in (seq, np.asarray(seq)):
-            with pytest.raises(ValueError, match=message):
-                model.prefix_log_probabilities(data)
-            with pytest.raises(ValueError, match=message):
-                model.sequence_log_probability(data)
+            for method in (model.prefix_log_probabilities, model.sequence_log_probability,
+                           model.state_after, model.conditional):
+                with pytest.raises(ValueError, match=message):
+                    method(data)
+
+    @pytest.mark.parametrize("model, _", MODELS, ids=_ids(MODELS))
+    def test_integer_valued_prefixes_keep_their_bits(self, model, _):
+        ints = model.sample(3, np.random.default_rng(0))  # a possible prefix
+        want = model.conditional(tuple(ints.tolist()))
+        assert np.array_equal(want, _ref_conditional(model, ints))
+        for prefix in (ints, ints.astype(np.int8), ints.astype(float),
+                       [float(z) for z in ints]):
+            assert np.array_equal(model.conditional(prefix), want)
+        if model.alphabet_size == 2:
+            assert np.array_equal(model.conditional([bool(z) for z in ints]), want)
+        assert np.array_equal(model.conditional([]), model.probs(model.start()))
 
     def test_integer_valued_symbols_keep_their_bits(self):
         model = changepoint_model(0.5, 0.9, 0.2)
