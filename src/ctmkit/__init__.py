@@ -23,7 +23,6 @@ from .conformal import (
     pvalue_step,
     read_observation_stream,
     score_window,
-    tie_counts,
 )
 from .eprocess import (
     EProcessRecord,
@@ -108,5 +107,4 @@ __all__ = [
     "run_validate",
     "sample_betting_family",
     "score_window",
-    "tie_counts",
 ]

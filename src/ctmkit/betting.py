@@ -15,6 +15,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from .models import integer
+
 NORMALIZATION_TOL = 1e-12
 
 # math.exp overflows past this; report +inf instead of raising
@@ -205,19 +207,20 @@ class ConstantBettor(BettingMartingale):
 class ShrunkAlternativeBettor(BettingMartingale):
     """Product-measure alternative given directly on the p-value scale.
 
-    ``family`` is a mapping from step indices (1-based) to densities; steps
-    the family is silent about get the uniform density.  Entries are given
-    as ``PiecewiseDensity`` or raw height tuples.  Every entry is validated
-    up front so a non-normalized table fails at construction, naming the
-    offending step; :attr:`family` is the validated table, which a new
-    bettor takes as is.
+    ``family`` is a mapping from step indices (1-based, read by
+    :func:`~ctmkit.models.integer`, so a JSON key ``"3"`` is step 3) to
+    densities; steps the family is silent about get the uniform density.
+    Entries are given as ``PiecewiseDensity`` or raw height tuples.  Every
+    entry is validated up front so a non-normalized table fails at
+    construction, naming the offending step; :attr:`family` is the
+    validated table, which a new bettor takes as is.
     """
 
     def __init__(self, family):
         super().__init__()
         table = {}
         for step, entry in family.items():
-            step = int(step)
+            step = integer(step, "step index")
             if step < 1:
                 raise ValueError(f"step indices are 1-based, got {step}")
             if not isinstance(entry, PiecewiseDensity):

@@ -31,7 +31,6 @@ __all__ = [
     "DistanceToMeanMeasure",
     "StepRecord",
     "score_window",
-    "tie_counts",
     "pvalue_step",
     "ctm_run",
     "read_observation_stream",
@@ -118,24 +117,6 @@ def score_window(measure: ConformityMeasure, window) -> np.ndarray:
     return scores
 
 
-def tie_counts(scores) -> tuple[int, int]:
-    """Strict and weak rank counts of the last score within the window.
-
-    Returns ``(n_star, n_upper)`` where ``n_star`` counts scores strictly
-    below the newest one and ``n_upper`` counts scores less than or equal to
-    it (the newest score ties with itself, so ``n_star < n_upper`` always).
-    Ties are exact float equality by design: scoring is deterministic, so
-    equal bags give bitwise equal scores.
-    """
-    s = np.asarray(scores, dtype=float)
-    if s.size == 0:
-        raise ValueError("need at least one score")
-    last = float(s[-1])
-    n_star = int(np.count_nonzero(s < last))
-    n_upper = int(np.count_nonzero(s <= last))
-    return n_star, n_upper
-
-
 class StepRecord(NamedTuple):
     """One step of a run.  :func:`pvalue_step` fills the rank counts and ``p``,
     which lies in ``[n_star/n, n_upper/n]`` and, given the window, is uniform
@@ -149,12 +130,24 @@ class StepRecord(NamedTuple):
 
 
 def pvalue_step(scores, tau: float) -> StepRecord:
-    """Turn the current window's scores plus one tie-breaking draw into a p-value."""
+    """Rank the newest of the window's scores and turn its rank counts plus one
+    tie-breaking draw into a p-value.
+
+    ``n_star`` counts scores strictly below the newest one and ``n_upper``
+    those less than or equal to it; the newest score ties with itself, so
+    ``n_star < n_upper``, or the step raises.  Ties are exact float equality
+    by design: scoring is deterministic, so equal bags give bitwise equal
+    scores.
+    """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     s = np.asarray(scores, dtype=float)
     n = s.size
-    n_star, n_upper = tie_counts(s)
+    if n == 0:
+        raise ValueError("need at least one score")
+    last = float(s[-1])
+    n_star = int(np.count_nonzero(s < last))
+    n_upper = int(np.count_nonzero(s <= last))
     if not n_star < n_upper:
         raise ValueError(f"the newest score must tie with itself, got ranks {n_star}, {n_upper}")
     p = (n_star + tau * (n_upper - n_star)) / n

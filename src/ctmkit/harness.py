@@ -23,12 +23,14 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # every command's first act is `substream`: load it with the imports
 
+from . import eprocess as _eprocess
 from . import oracle as _oracle
 from .bayes_kelly import bayes_kelly_bettor
 from .betting import ConstantBettor, ShrunkAlternativeBettor, linear_from_log
 from .conformal import DistanceToMeanMeasure, IdentityMeasure, ctm_run, read_observation_stream
 from .eprocess import example_distinct_report, log_ml_sup
-from .models import TableModel, changepoint_model, iid_model, markov_model, PointMassModel
+from .models import (TableModel, changepoint_model, iid_model, integer, markov_model,
+                     PointMassModel, symbol_list)
 
 CSV_HEADER = "rep,n,z,tau,n_star,n_upper,p,factor,wealth,log10_wealth"
 KS_PVALUE_THRESHOLD = 1e-3
@@ -93,15 +95,10 @@ class ExperimentConfig:
             ("rivals", 0, "must be nonnegative"),
             ("jobs", 1, "must be at least 1"),
         ):
-            value = getattr(self, name)
             try:
-                # a bool or a fraction is refused, not truncated; 12.0 and "12" are read
-                if isinstance(value, (bool, np.bool_)) or (
-                        not isinstance(value, str) and int(value) != value):
-                    raise ValueError
-                setattr(self, name, int(value))
-            except (TypeError, ValueError, OverflowError):
-                problems.append(f"{name}: must be an integer, got {value!r}")
+                setattr(self, name, integer(getattr(self, name), f"{name}:"))
+            except ValueError as err:
+                problems.append(str(err))
                 continue
             if getattr(self, name) < low:
                 problems.append(f"{name}: {rule}")
@@ -280,8 +277,7 @@ def _load_bettor(spec: str):
         raise ConfigError("bettor: density needs a JSON path of per-step heights")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        family = {int(step): tuple(heights) for step, heights in payload.items()}
-        return ShrunkAlternativeBettor(family).family
+        return ShrunkAlternativeBettor(payload).family
     except (OSError, ValueError, TypeError, AttributeError) as err:
         raise ConfigError(f"bettor: {err}") from err
 
@@ -336,24 +332,25 @@ def _replicate_data(cfg: ExperimentConfig, rng: np.random.Generator):
 def _check_bettor_data(cfg: ExperimentConfig) -> None:
     """Refuse, before any replicate or output, data a Bayes-Kelly bettor cannot
     bet on: real values, or symbols outside the alternative's alphabet (which
-    data sampled from the alternative never holds)."""
+    data sampled from the alternative never holds).  A ``--dgp file:`` stream
+    is read by the fold's symbol rule, :func:`~ctmkit.models.symbol_list`."""
     if cfg.bettor.partition(":")[0] != "bayes_kelly" or cfg.dgp == "alt":
         return
-    if cfg.dgp == "null":
-        low, top = 0, cfg.null_top
-    elif np.issubdtype(cfg.observations.dtype, np.integer):
-        low, top = int(cfg.observations.min()), int(cfg.observations.max())
-    else:
-        top = None
-    if top is None:
+    m = cfg.model.alphabet_size
+    if cfg.dgp != "null":
+        what = ("dgp: bayes_kelly betting needs integer observations "
+                f"in the alternative's alphabet [0, {m})")
+        try:
+            symbol_list(cfg.observations, m, what)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+    elif cfg.null_top is None:
         raise ConfigError(
             "bayes_kelly betting needs finite-alphabet integer observations; "
             "got real-valued data"
         )
-    if low < 0 or top >= cfg.model.alphabet_size:
-        raise ConfigError(
-            f"observations outside the alternative's alphabet [0, {cfg.model.alphabet_size})"
-        )
+    elif cfg.null_top >= m:
+        raise ConfigError(f"observations outside the alternative's alphabet [0, {m})")
 
 
 def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
@@ -735,24 +732,20 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     rather than once per string that extends it.  For every grid length n
     the walk's value for the realized prefix ``data[:n]`` must equal
     ``model.sequence_log_probability(data[:n])`` exactly, or the run
-    raises: a self-audit of the walk against the model's own fold.
+    raises: a self-audit of the walk against the model's own fold.  The data
+    and the alternative are checked by :func:`ctmkit.eprocess.run_eprocess`,
+    before ``--out`` is made, and a refusal names the field at fault.
     """
     model = cfg.model
-    if model.alphabet_size != 2:
-        raise ConfigError("alt: the e-process path needs a binary alternative")
-    data = np.asarray(_replicate_data(cfg, substream(cfg.seed, _STREAM_REPLICATE, 0, 0)))
-    if not np.issubdtype(data.dtype, np.integer):
-        raise ConfigError("null: the e-process path needs binary integer data")
-    data = data[: cfg.horizon]
-    if int(data.min()) < 0 or int(data.max()) > 1:
-        raise ConfigError("dgp: the e-process path needs bits (0/1)")
+    data = _replicate_data(cfg, substream(cfg.seed, _STREAM_REPLICATE, 0, 0))[: cfg.horizon]
+    try:
+        records = _eprocess.run_eprocess(data, model)
+    except ValueError as err:
+        field = "alt" if model.alphabet_size != 2 else "null" if cfg.dgp == "null" else "dgp"
+        raise ConfigError(f"{field}: {err}") from err
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    from .eprocess import run_eprocess as _run_states
-
-    records = _run_states(data, model)
     with (out_dir / "eprocess_trajectory.csv").open("w", encoding="utf-8") as fh:
         fh.write("n,z,ones,log_q,log_ml,e_value,log10_e\n")
         for record, z in zip(records, data):

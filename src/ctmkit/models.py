@@ -49,6 +49,18 @@ def _check_laws(what: str, laws: np.ndarray) -> None:
         )
 
 
+def integer(value, what: str) -> int:
+    """``value`` as an int: an int, an integral float or an integer string is read
+    as it; a bool, a fraction, inf, nan or a non-number is a ValueError naming it."""
+    try:
+        if isinstance(value, (bool, np.bool_)) or (
+                not isinstance(value, str) and int(value) != value):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def symbol_list(seq, alphabet_size: int, what: str) -> list:
     """``seq`` as a list of ints, checked in one vectorised pass: a value equal to an
     integer in ``[0, alphabet_size)`` is read as it; else a ValueError names it."""
@@ -71,7 +83,7 @@ class AlternativeModel(ABC):
     """A law over symbol sequences, presented one forward step at a time."""
 
     def __init__(self, alphabet_size: int):
-        alphabet_size = int(alphabet_size)
+        alphabet_size = integer(alphabet_size, "alphabet_size")
         if alphabet_size < 2:
             raise ValueError(f"alphabet size must be at least 2, got {alphabet_size}")
         self.alphabet_size = alphabet_size
@@ -307,7 +319,7 @@ class TableModel(AlternativeModel):
 
     def __init__(self, alphabet_size: int, rows: np.ndarray, depth: int):
         super().__init__(alphabet_size)
-        depth = int(depth)
+        depth = integer(depth, "depth")
         if depth < 1:
             raise ValueError("table depth must be at least 1")
         m = self.alphabet_size
@@ -340,14 +352,6 @@ class TableModel(AlternativeModel):
         return self._rows[np.asarray(states)]
 
     @classmethod
-    def random(cls, alphabet_size: int, depth: int, rng: np.random.Generator) -> "TableModel":
-        """Random conditional table: rows drawn uniformly from the simplex."""
-        m = int(alphabet_size)
-        raw = rng.standard_exponential((_prefix_count(m, int(depth)), m))
-        rows = raw / raw.sum(axis=1, keepdims=True)
-        return TableModel(m, rows, depth)
-
-    @classmethod
     def from_json(cls, path) -> "TableModel":
         """Load a table from JSON: ``{"alphabet_size": m, "conditionals":
         {"": [...], "0": [...], "0,1": [...], ...}}``.
@@ -356,10 +360,7 @@ class TableModel(AlternativeModel):
         :func:`symbol_list`; missing prefixes get the uniform conditional.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        m = payload["alphabet_size"]
-        if type(m) not in (int, float, str) or not float(m).is_integer():
-            raise ValueError(f"alphabet_size must be an integer, got {m!r}")
-        m = int(float(m))
+        m = integer(payload["alphabet_size"], "alphabet_size")
         parsed = {}
         for key, probs in payload.get("conditionals", {}).items():
             prefix = tuple(symbol_list(key.split(",") if key else [], m,

@@ -1,0 +1,142 @@
+"""Mutant catalogue: one-line faults that the test suite must catch.
+
+Each entry names a fault, the module under ``src/ctmkit`` it goes in, the
+exact line it replaces (indentation included), that line's replacement, and
+the test files that must fail with it in place.  An entry with an
+``equivalent`` reason is a mutant no test can tell from the real code; its
+line is still looked up, but its tests are not run.
+
+Run from anywhere in a checkout:
+
+    python tests/mutants.py
+
+Each mutant is written into a fresh copy of ``src/`` and its test files run
+against that copy with ``pytest -x``.  The run exits 1 if a mutant survives,
+if its tests fail to run at all, or if an ``old`` line is not found exactly
+once: a stale entry is updated, never skipped.  ``tests/test_mutants.py``
+checks the lines alone, in the package tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+    equivalent: str = ""
+
+
+MUTANTS = (
+    Mutant("collapsed survivors off by one", "bayes_kelly.py",
+           "        split = n - above + 1",
+           "        split = n - above",
+           ("tests/test_bayes_kelly.py",)),
+    Mutant("collapsed posterior not renormalised", "bayes_kelly.py",
+           "            new_W /= mass",
+           "            new_W /= 1.0",
+           ("tests/test_bayes_kelly.py",)),
+    Mutant("grid-point p drops the realized candidate", "bayes_kelly.py",
+           "        above = below if below / n == p else below + 1",
+           "        above = below + 1",
+           ("tests/test_bayes_kelly.py",)),
+    Mutant("explicit engine carries the parent's state past the root", "bayes_kelly.py",
+           "                         model.advance_batch(parents, syms))",
+           "                         parents if hset.step else model.advance_batch(parents, syms))",
+           ("tests/test_differential.py",)),
+    Mutant("hidden-state advance_batch not normalised", "models.py",
+           "        return S / total[:, None]",
+           "        return S",
+           ("tests/test_differential.py", "tests/test_models.py")),
+    Mutant("integer truncates fractions", "models.py",
+           "                not isinstance(value, str) and int(value) != value):",
+           "                False):",
+           ("tests/test_betting.py", "tests/test_models.py")),
+    Mutant("symbol_list without its floor test", "models.py",
+           "    bad = ~((values >= 0.0) & (values < alphabet_size) & (values == np.floor(values)))",
+           "    bad = ~((values >= 0.0) & (values < alphabet_size))",
+           ("tests/test_eprocess.py", "tests/test_models.py")),
+    Mutant("n_star counted with <=", "conformal.py",
+           "    n_star = int(np.count_nonzero(s < last))",
+           "    n_star = int(np.count_nonzero(s <= last))",
+           ("tests/test_conformal.py",)),
+    Mutant("null's top symbol may equal the alphabet size", "harness.py",
+           "    elif cfg.null_top >= m:",
+           "    elif cfg.null_top > m:",
+           ("tests/test_cli.py",)),
+    Mutant("e-process blames dgp for every input", "harness.py",
+           '        field = "alt" if model.alphabet_size != 2 else "null" if cfg.dgp == "null" '
+           'else "dgp"',
+           '        field = "dgp"',
+           ("tests/test_cli.py",)),
+    Mutant("cell tree sums its Q mass left to right", "oracle.py",
+           "            q_mass = math.fsum(candidates.values())",
+           "            q_mass = sum(candidates.values())",
+           ("tests/test_oracle.py",),
+           equivalent="moves only the last bits of q_mass, inside every oracle tolerance: "
+                      "the whole package test suite passes with it"),
+)
+
+
+def line_index(mutant: Mutant, src: Path) -> int:
+    """Index of ``mutant.old`` among the lines of its module under ``src``;
+    LookupError unless it occurs exactly once."""
+    lines = (src / "ctmkit" / mutant.file).read_text(encoding="utf-8").split("\n")
+    hits = [i for i, line in enumerate(lines) if line == mutant.old]
+    if len(hits) != 1:
+        raise LookupError(f"{mutant.name}: old line found {len(hits)} times in {mutant.file}")
+    return hits[0]
+
+
+def run(mutant: Mutant, src: Path) -> str:
+    """Write ``mutant`` into the copy of ``src/`` at ``src`` and run its tests:
+    "caught", "survived" or "error"."""
+    path = src / "ctmkit" / mutant.file
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[line_index(mutant, src)] = mutant.new
+    path.write_text("\n".join(lines), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=False,
+    )
+    # pytest exits 1 when a test failed; anything else means the tests did not run
+    return {0: "survived", 1: "caught"}.get(done.returncode, "error")
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, mutant in enumerate(MUTANTS):
+            src = Path(tmp) / str(i)
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            start = time.perf_counter()
+            try:
+                if mutant.equivalent:
+                    line_index(mutant, src)
+                    outcome = "equivalent"
+                else:
+                    outcome = run(mutant, src)
+            except LookupError:
+                outcome = "stale"
+            bad += outcome not in ("caught", "equivalent")
+            print(f"{outcome:10} {time.perf_counter() - start:5.1f}s  {mutant.name}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {bad} not caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

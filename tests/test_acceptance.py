@@ -16,7 +16,6 @@ from ctmkit import (
     CollapsedBayesKellyBettor,
     DistanceToMeanMeasure,
     IdentityMeasure,
-    TableModel,
     bk_factor_sequences,
     cell_tree,
     changepoint_model,
@@ -33,6 +32,8 @@ from ctmkit import (
 )
 from ctmkit.cli import main as cli_main
 from ctmkit.harness import ExperimentConfig, run_validate
+
+from helpers import random_table
 
 
 def _weights(hset):
@@ -53,7 +54,7 @@ def _instances():
         out.append(("changepoint", changepoint_model(0.5, 0.9, 0.2),
                     IdentityMeasure(), N))
         out.append(("markov", markov_model(0.1, 0.1), IdentityMeasure(), N))
-    table = TableModel.random(3, depth=3, rng=np.random.default_rng(123))
+    table = random_table(3, depth=3, rng=np.random.default_rng(123))
     out.append(("table3-distmean", table, DistanceToMeanMeasure(), 4))
     return out
 
@@ -79,7 +80,7 @@ def test_criterion_1_density_law():
     for _ in range(scenarios):
         m = int(rng.integers(2, 5))
         steps = int(rng.integers(1, 9))
-        model = TableModel.random(m, depth=int(rng.integers(1, steps + 1)), rng=rng)
+        model = random_table(m, depth=int(rng.integers(1, steps + 1)), rng=rng)
         measure = DistanceToMeanMeasure() if rng.random() < 0.5 else IdentityMeasure()
         bettor = BayesKellyBettor(model, measure)
         data = rng.integers(0, m, steps)

@@ -22,8 +22,10 @@ from ctmkit import (
     extend,
     iid_model,
     markov_model,
-    tie_counts,
+    pvalue_step,
 )
+
+from helpers import random_table
 
 
 def _ternary_hidden_state():
@@ -106,7 +108,7 @@ class TestExtend:
 class TestPredictiveDensity:
     def test_first_step_uniform_for_any_model(self):
         for model in (iid_model([0.5, 0.5]), changepoint_model(0.5, 0.9, 0.2),
-                      TableModel.random(3, depth=2, rng=np.random.default_rng(0))):
+                      random_table(3, depth=2, rng=np.random.default_rng(0))):
             d = BayesKellyBettor(model, IdentityMeasure()).next_density()
             assert d.heights == (1.0,)
 
@@ -157,7 +159,7 @@ def _brute_posterior(model, measure, ps):
         alive = True
         for j in range(1, n + 1):
             window = np.asarray(prefix[:j], dtype=float)
-            n_star, n_upper = tie_counts(measure.scores(window))
+            n_star, n_upper = pvalue_step(measure.scores(window), 0.0)[:2]
             if not n_star / j <= ps[j - 1] <= n_upper / j:
                 alive = False
                 break
@@ -215,7 +217,7 @@ class TestBayesKellyBettor:
 
     def test_posterior_matches_brute_force(self):
         rng = np.random.default_rng(13)
-        model = TableModel.random(3, depth=2, rng=rng)
+        model = random_table(3, depth=2, rng=rng)
         measure = DistanceToMeanMeasure()
         for _ in range(10):
             b = BayesKellyBettor(model, measure)
@@ -281,7 +283,7 @@ class TestDensityLaw:
         rng = np.random.default_rng(31)
         for _ in range(50):
             m = int(rng.integers(2, 5))
-            model = TableModel.random(m, depth=int(rng.integers(1, 4)), rng=rng)
+            model = random_table(m, depth=int(rng.integers(1, 4)), rng=rng)
             measure = DistanceToMeanMeasure() if rng.random() < 0.5 else IdentityMeasure()
             b = BayesKellyBettor(model, measure)
             for n in range(1, int(rng.integers(2, 8))):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,18 @@ class TestShrunkAlternativeBettor:
     def test_non_normalized_family_rejected_with_step(self):
         with pytest.raises(ValueError, match="step 3"):
             ShrunkAlternativeBettor({3: (1.0, 1.0, 2.0)})
+
+    @pytest.mark.parametrize("step", [1.7, True, "1.0", None])
+    def test_step_keys_are_not_truncated(self, step):
+        # int() would read 1.7 and True as step 1
+        message = f"^step index must be an integer, got {re.escape(repr(step))}$"
+        with pytest.raises(ValueError, match=message):
+            ShrunkAlternativeBettor({step: (2.0, 0.0)})
+
+    def test_integer_valued_step_keys_are_read(self):
+        family = ShrunkAlternativeBettor({"2": (2.0, 0.0), 3.0: (1.0,)}).family
+        assert family == {2: PiecewiseDensity((2.0, 0.0)), 3: PiecewiseDensity((1.0,))}
+        assert {type(step) for step in family} == {int}
 
     def test_sequence_family(self):
         b = ShrunkAlternativeBettor({1: (1.0,), 2: (2.0, 0.0)})

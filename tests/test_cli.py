@@ -107,6 +107,8 @@ class TestSimulateCommand:
              "alphabet_size must be an integer, got 2.7"),
             ({"alphabet_size": True, "conditionals": {"": [0.5, 0.5]}},
              "alphabet_size must be an integer, got True"),
+            ({"alphabet_size": "abc", "conditionals": {"": [0.5, 0.5]}},
+             "alphabet_size must be an integer, got 'abc'"),
             ({"alphabet_size": 2, "conditionals": {"": [0.5, 0.5], "0.5": [0.9, 0.1]}},
              "conditionals['0.5'] symbols must be in range(2), got '0.5' at position 0"),
             ("pointmass:1,-1", "point-mass symbols must be in range(2), got -1 at position 1"),
@@ -189,10 +191,16 @@ class TestExitCodes:
         bad.write_text("0.5\nnot-a-number\n", encoding="utf-8")
         short = tmp_path / "short.txt"
         short.write_text("1\n0\n", encoding="utf-8")
+        reals = tmp_path / "reals.txt"
+        reals.write_text("1\n0\n0.5\n" + "1\n" * 7, encoding="utf-8")
         runs = [
             ("dgp", ["simulate", *_simulate_args(tmp_path / "run", **{"--dgp": "file:/missing"})]),
             ("dgp", ["simulate", *_simulate_args(tmp_path / "run", **{"--dgp": f"file:{short}"})]),
             ("dgp", ["eprocess", *_simulate_args(tmp_path / "run", **{"--dgp": f"file:{short}"})]),
+            # the e-process blames the input its faulty data came from
+            ("dgp", ["eprocess", *_simulate_args(tmp_path / "run", **{"--dgp": f"file:{reals}"})]),
+            ("null", ["eprocess", *_simulate_args(tmp_path / "run", **{
+                "--null": "categorical:0.2,0.3,0.5"})]),
             ("example1", ["eprocess", *_simulate_args(tmp_path / "run", **{
                 "--alt": "iid:0.5", "--example1": f"file:{bad}"})]),
         ]
@@ -229,6 +237,20 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["simulate", "--help"]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "eprocess"])
+def test_integral_float_data_reads_as_symbols(tmp_path, monkeypatch, command):
+    # a --dgp file: stream is read by the fold's symbol rule, so 1.0 is the symbol 1
+    bits = [1, 0, 0, 1, 1, 0, 1, 1, 1, 0]
+    written = []
+    for name, text in (("ints", "{}\n"), ("floats", "{}.0\n")):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the reports record the --dgp path as given
+        Path("bits.txt").write_text("".join(text.format(z) for z in bits), encoding="utf-8")
+        assert main([command, *_simulate_args("run", **{"--dgp": "file:bits.txt"})]) == 0
+        written.append({path.name: path.read_bytes() for path in Path("run").iterdir()})
+    assert written[0] == written[1]
 
 
 class TestOtherCommands:

@@ -15,7 +15,6 @@ from ctmkit import (
     pvalue_step,
     read_observation_stream,
     score_window,
-    tie_counts,
 )
 from ctmkit.betting import linear_from_log
 from ctmkit.conformal import ConformityMeasure
@@ -57,22 +56,31 @@ class TestScores:
             score_window(BadMeasure(), [1.0, 2.0])
 
 
+def _ranks(scores):
+    """The rank counts ``(n_star, n_upper)`` that :func:`pvalue_step` records."""
+    return pvalue_step(scores, 0.5)[:2]
+
+
 class TestTieCounts:
     def test_tied_window(self):
-        assert tie_counts([0.0, 1.0, 1.0]) == (1, 3)
+        assert _ranks([0.0, 1.0, 1.0]) == (1, 3)
 
     def test_singleton(self):
-        assert tie_counts([7.0]) == (0, 1)
+        assert _ranks([7.0]) == (0, 1)
 
     def test_strictly_largest(self):
-        assert tie_counts([3.1, 2.0, 5.5]) == (2, 3)
+        assert _ranks([3.1, 2.0, 5.5]) == (2, 3)
 
     def test_newest_always_ties_itself(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             scores = rng.integers(0, 3, size=rng.integers(1, 9)).astype(float)
-            n_star, n_upper = tie_counts(scores)
+            n_star, n_upper = _ranks(scores)
             assert 0 <= n_star < n_upper <= scores.size
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="need at least one score"):
+            pvalue_step([], 0.5)
 
 
 class TestPValueStep:

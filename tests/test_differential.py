@@ -25,7 +25,6 @@ from ctmkit import (
     HypothesisSet,
     IdentityMeasure,
     PointMassModel,
-    TableModel,
     bayes_kelly,
     bayes_kelly_bettor,
     changepoint_model,
@@ -34,6 +33,8 @@ from ctmkit import (
     markov_model,
 )
 from ctmkit.harness import substream
+
+from helpers import random_table
 
 MEASURES = {"identity": IdentityMeasure, "distmean": DistanceToMeanMeasure}
 
@@ -134,8 +135,8 @@ def _shipped():
         "markov": (markov_model(0.1, 0.1), 10),
         "markov_frozen": (markov_model(0.0, 0.0, 1.0), 10),
         "iid_ternary": (iid_model([0.2, 0.3, 0.5]), 6),
-        "table_binary": (TableModel.random(2, depth=4, rng=rng), 9),
-        "table_ternary": (TableModel.random(3, depth=3, rng=rng), 6),
+        "table_binary": (random_table(2, depth=4, rng=rng), 9),
+        "table_ternary": (random_table(3, depth=3, rng=rng), 6),
         "pointmass": (PointMassModel([1, 0, 1, 1, 0], alphabet_size=2), 12),
         "succession": (_SuccessionModel(3), 6),
     }

@@ -15,7 +15,6 @@ from ctmkit import (
     HiddenStateModel,
     IdentityMeasure,
     PointMassModel,
-    TableModel,
     bk_factor_sequences,
     cell_tree,
     changepoint_model,
@@ -43,6 +42,8 @@ from ctmkit.harness import (
     substream,
     write_json,
 )
+
+from helpers import random_table
 
 
 def _cfg(tmp_path, **overrides):
@@ -506,6 +507,14 @@ class TestDensityBettorConfig:
             _cfg(tmp_path, bettor=f"density:{path}")
         assert not (tmp_path / "out").exists()
 
+    def test_step_keys_follow_the_integer_rule(self, tmp_path):
+        # a JSON key is a step index, read by the integer rule that names it
+        path = tmp_path / "family.json"
+        path.write_text('{"1.0": [1.0]}', encoding="utf-8")
+        message = r"^bettor: step index must be an integer, got '1\.0'$"
+        with pytest.raises(ConfigError, match=message):
+            _cfg(tmp_path, bettor=f"density:{path}")
+
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="bettor"):
             _cfg(tmp_path, bettor=f"density:{tmp_path / 'absent.json'}")
@@ -603,7 +612,7 @@ WALK_MODELS = [
     markov_model(0.0, 0.0, 1.0),
     markov_model(1.0, 1.0, 0.0),
     iid_model([1.0, 0.0]),
-    TableModel.random(2, depth=3, rng=np.random.default_rng(11)),
+    random_table(2, depth=3, rng=np.random.default_rng(11)),
     PointMassModel([1, 0, 1], alphabet_size=2),
     _Laplace(),
 ]

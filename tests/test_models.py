@@ -24,6 +24,8 @@ from ctmkit import (
     run_eprocess,
 )
 
+from helpers import random_table
+
 
 def _conditional_law(model, prefix):
     return model.conditional(prefix).tolist()
@@ -235,6 +237,21 @@ class TestPointMass:
         with pytest.raises(ValueError, match=message):
             PointMassModel(sequence)
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: PointMassModel([1, 0], alphabet_size=2.7),
+                     "alphabet_size must be an integer, got 2.7", id="pointmass-2.7"),
+        pytest.param(lambda: PointMassModel([1, 0], alphabet_size=True),
+                     "alphabet_size must be an integer, got True", id="pointmass-True"),
+        pytest.param(lambda: TableModel(2.9, [[0.5, 0.5]], depth=1.8),
+                     "alphabet_size must be an integer, got 2.9", id="table-2.9"),
+        pytest.param(lambda: TableModel(2, [[0.5, 0.5]], depth=1.8),
+                     "depth must be an integer, got 1.8", id="table-depth-1.8"),
+    ])
+    def test_sizes_are_not_truncated(self, build, message):
+        # int() would read 2.7 as 2 and 1.8 as 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_integer_valued_symbols_are_read_as_ints(self):
         for sequence in ([1, 0, 1], (True, False, True), [1.0, 0.0, 1.0],
                          np.array([1, 0, 1], dtype=np.int8)):
@@ -252,7 +269,7 @@ class TestPointMass:
 class TestTableModel:
     def test_random_rows_are_laws(self):
         rng = np.random.default_rng(5)
-        m = TableModel.random(3, depth=2, rng=rng)
+        m = random_table(3, depth=2, rng=rng)
         for prefix in ([], [0], [2, 1], [1, 2, 0]):
             law = m.conditional(prefix)
             assert law.shape == (3,)
@@ -261,13 +278,13 @@ class TestTableModel:
 
     def test_uniform_beyond_depth(self):
         rng = np.random.default_rng(6)
-        m = TableModel.random(2, depth=1, rng=rng)
+        m = random_table(2, depth=1, rng=rng)
         assert _conditional_law(m, [0, 1]) == [0.5, 0.5]
         assert _conditional_law(m, [1, 1, 0]) == [0.5, 0.5]
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(7)
-        m = TableModel.random(4, depth=3, rng=rng)
+        m = random_table(4, depth=3, rng=rng)
         prefixes = rng.integers(0, 4, size=(25, 3))
         batch = m.conditional_batch(_batched_states(m, prefixes))
         for row, got in zip(prefixes, batch):
@@ -297,7 +314,7 @@ class TestTableModel:
             with pytest.raises(ValueError, match="conditional row 0"):
                 TableModel.from_json(path)
 
-    @pytest.mark.parametrize("size", [2.7, True, False, None, "2.5", math.inf, [2]])
+    @pytest.mark.parametrize("size", [2.7, True, False, None, "2.5", math.inf, [2], "abc"])
     def test_from_json_refuses_a_non_integer_alphabet_size(self, tmp_path, size):
         # int() would read 2.7 as 2 and true as 1
         payload = {"alphabet_size": size, "conditionals": {"": [0.5, 0.5]}}
@@ -476,7 +493,7 @@ def _binary_models():
         iid_model([0.4, 0.6]),
         iid_model([1.0, 0.0]),
         PointMassModel([1, 0, 1], alphabet_size=2),
-        TableModel.random(2, depth=3, rng=np.random.default_rng(11)),
+        random_table(2, depth=3, rng=np.random.default_rng(11)),
         LaplaceModel(),
     ]
 
@@ -497,7 +514,7 @@ def _ternary_models():
         iid_model([0.2, 0.3, 0.5]),
         _ternary_changepoint(),
         PointMassModel([2, 0, 1, 1], alphabet_size=3),
-        TableModel.random(3, depth=2, rng=np.random.default_rng(12)),
+        random_table(3, depth=2, rng=np.random.default_rng(12)),
     ]
 
 
@@ -620,7 +637,7 @@ def _count_advances(model):
 
 CONTRACT = {
     "hidden_state": lambda: changepoint_model(0.5, 0.9, 0.2),
-    "table": lambda: TableModel.random(2, depth=3, rng=np.random.default_rng(11)),
+    "table": lambda: random_table(2, depth=3, rng=np.random.default_rng(11)),
     "point_mass": lambda: PointMassModel([1, 0, 1, 1, 0], alphabet_size=2),
     "custom": LaplaceModel,
 }

@@ -10,7 +10,6 @@ from ctmkit import (
     DistanceToMeanMeasure,
     IdentityMeasure,
     PointMassModel,
-    TableModel,
     bk_factor_sequences,
     cell_tree,
     cell_volume_closure,
@@ -23,6 +22,8 @@ from ctmkit import (
     run_eprocess,
     sample_betting_family,
 )
+
+from helpers import random_table
 
 
 def _weights(hset):
@@ -84,8 +85,8 @@ class TestPushforwardKl:
     def test_nonnegative_on_random_models(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            model = TableModel.random(int(rng.integers(2, 4)),
-                                      depth=int(rng.integers(1, 3)), rng=rng)
+            model = random_table(int(rng.integers(2, 4)),
+                                 depth=int(rng.integers(1, 3)), rng=rng)
             cells = cell_tree(model, IdentityMeasure(), 3)
             assert pushforward_kl(cells) >= -1e-15
 
