@@ -51,7 +51,6 @@ from .models import (
 )
 from .oracle import (
     CellPath,
-    bk_factor_sequences,
     cell_tree,
     cell_volume_closure,
     evariable_expectation,
@@ -84,7 +83,6 @@ __all__ = [
     "TableModel",
     "audit_trajectory",
     "bayes_kelly_bettor",
-    "bk_factor_sequences",
     "cell_tree",
     "cell_volume_closure",
     "changepoint_model",

@@ -21,7 +21,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .betting import linear_from_log
-from .models import AlternativeModel, symbol_list
+from .models import AlternativeModel, integer, symbol_list
 
 __all__ = [
     "EProcessRecord",
@@ -38,8 +38,8 @@ def log_ml_sup(n: int, ones: int) -> float:
     The supremum sits at theta = k/n and equals (k/n)^k ((n-k)/n)^(n-k),
     with 0^0 read as 1.
     """
-    n = int(n)
-    ones = int(ones)
+    n = integer(n, "n")
+    ones = integer(ones, "ones count")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= ones <= n:
@@ -100,7 +100,8 @@ def example_distinct_report(values) -> dict:
 
     When all N values are distinct the empirical maximum likelihood is
     exactly N^-N, so any alternative with a density (which gives every exact
-    sample probability zero) has likelihood ratio exactly zero against it.
+    sample probability zero) has likelihood ratio exactly zero against it:
+    ``continuous_lr`` is 0.0.
     """
     vals = [float(v) for v in values]
     n = len(vals)
@@ -112,5 +113,5 @@ def example_distinct_report(values) -> dict:
         "log_empirical_ml": log_eml,
         "empirical_ml": linear_from_log(log_eml),
         "log_nn_floor": -n * math.log(n),
-        "continuous_alternative_likelihood_ratio": 0.0,
+        "continuous_lr": 0.0,
     }

@@ -59,8 +59,9 @@ class ExperimentConfig:
     its field.  The built objects are plain attributes, not fields: ``model``,
     ``conformity`` (the measure), ``null_sampler``, ``null_top`` (the largest
     symbol the null can draw; None for a real-valued null), ``tau`` (None:
-    uniform), and ``density_family``, ``observations`` (``--dgp file:``) and
-    ``example1_values``, each None when not given.  They pickle with the
+    uniform), ``new_bettor`` (``new_bettor()`` makes a fresh bettor for one
+    replicate), and ``observations`` (``--dgp file:``) and
+    ``example1_values``, both None when not given.  They pickle with the
     config, so a ``--jobs`` worker parses nothing again.
     """
 
@@ -123,7 +124,7 @@ class ExperimentConfig:
             problems.append(f"dgp: observation stream has {stream.size} values, "
                             f"horizon needs {self.horizon}")
         self.tau = build("tau_mode", _parse_tau_mode)
-        self.density_family = build("bettor", _load_bettor)
+        self.new_bettor = build("bettor", _load_bettor, self.model, self.conformity)
         self.example1_values = build("example1", _load_values, "example1", ("auto", "none"))
         if not isinstance(self.out, str) or not self.out:
             problems.append("out: must be a non-empty path")
@@ -265,19 +266,22 @@ def _parse_tau_mode(spec: str):
     return tau
 
 
-def _load_bettor(spec: str):
-    """The validated per-step family of a ``density:PATH`` bettor, else None."""
+def _load_bettor(spec: str, model, measure):
+    """The bettor factory of ``spec``: a picklable callable that makes a fresh
+    bettor per replicate; a ``density:PATH`` family is read and checked here."""
+    if spec == "bayes_kelly":
+        return partial(bayes_kelly_bettor, model, measure)
+    if spec == "constant":
+        return ConstantBettor
     kind, _, path = spec.partition(":")
-    if spec not in ("bayes_kelly", "constant") and kind != "density":
+    if kind != "density":
         raise ConfigError("bettor: must be bayes_kelly, constant or density:<path>, "
                           f"got {spec!r}")
-    if kind != "density":
-        return None
     if not path:
         raise ConfigError("bettor: density needs a JSON path of per-step heights")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return ShrunkAlternativeBettor(payload).family
+        return partial(ShrunkAlternativeBettor, ShrunkAlternativeBettor(payload).family)
     except (OSError, ValueError, TypeError, AttributeError) as err:
         raise ConfigError(f"bettor: {err}") from err
 
@@ -297,14 +301,7 @@ def _load_values(spec: str, field: str, keywords: tuple):
 
 def build_bettor(cfg: ExperimentConfig):
     """A fresh bettor for one replicate, with the config's model and measure."""
-    kind = cfg.bettor.partition(":")[0]
-    if kind == "bayes_kelly":
-        bettor = bayes_kelly_bettor(cfg.model, cfg.conformity)
-    elif kind == "constant":
-        bettor = ConstantBettor()
-    else:
-        bettor = ShrunkAlternativeBettor(cfg.density_family)
-    return bettor, cfg.model, cfg.conformity
+    return cfg.new_bettor(), cfg.model, cfg.conformity
 
 
 # -- seeding -----------------------------------------------------------------
@@ -334,7 +331,7 @@ def _check_bettor_data(cfg: ExperimentConfig) -> None:
     bet on: real values, or symbols outside the alternative's alphabet (which
     data sampled from the alternative never holds).  A ``--dgp file:`` stream
     is read by the fold's symbol rule, :func:`~ctmkit.models.symbol_list`."""
-    if cfg.bettor.partition(":")[0] != "bayes_kelly" or cfg.dgp == "alt":
+    if cfg.bettor != "bayes_kelly" or cfg.dgp == "alt":
         return
     m = cfg.model.alphabet_size
     if cfg.dgp != "null":
@@ -439,6 +436,13 @@ def _sanitize(value):
     return f
 
 
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """``--out``, made if it is missing."""
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def write_json(path, payload: dict) -> None:
     text = json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
@@ -489,8 +493,7 @@ def audit_trajectory(path) -> dict:
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Simulate replicate trajectories; write trajectory.csv and summary.json."""
     _check_bettor_data(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     traj_path = out_dir / "trajectory.csv"
     final_wealth = []
     final_log = []
@@ -642,9 +645,7 @@ def run_validate(cfg: ExperimentConfig) -> dict:
         "wealth_ok": bool(wealth_ok),
         "ok": bool(ks_ok and lag_ok and wealth_ok),
     }
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "validity.json", report)
+    write_json(_out_dir(cfg) / "validity.json", report)
     return report
 
 
@@ -657,7 +658,7 @@ def run_optimality(cfg: ExperimentConfig) -> dict:
             f"maximum horizon is {MAX_OPTIMALITY_HORIZON}, got {cfg.horizon}"
         )
     cells = _oracle.cell_tree(cfg.model, cfg.conformity, cfg.horizon)
-    expected_log = _oracle.expected_log_wealth(cells, _oracle.bk_factor_sequences(cells))
+    expected_log = _oracle.expected_log_wealth(cells, [c.bk_heights for c in cells])
     kl = _oracle.pushforward_kl(cells)
     rng = substream(cfg.seed, _STREAM_RIVALS)
     rival_values = []
@@ -687,38 +688,36 @@ def run_optimality(cfg: ExperimentConfig) -> dict:
         "dominance_ok": bool(dominance_ok),
         "ok": bool(identity_ok and dominance_ok),
     }
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "certificate.json", report)
+    write_json(_out_dir(cfg) / "certificate.json", report)
     return report
 
 
 def _log_q_levels(model, depth: int) -> list:
     """Natural log probability of every bit string of length at most ``depth >= 1``.
 
-    Entry k is a flat array over the 2**k strings of length k, indexed by
-    the string's binary code (first symbol most significant).  One
-    depth-first walk of the prefix tree with ``start``/``advance``/``probs``
-    computes each node once: a child's total is its parent's plus
-    ``math.log(p)``, the fold :meth:`AlternativeModel.prefix_log_probabilities`
-    makes, so every entry equals ``sequence_log_probability`` bit for bit.  Strings through a
-    zero-probability symbol stay -inf, and the walk never advances past one.
+    Entry k maps each length-k bit tuple of positive probability to its log
+    probability; entry 0 is ``{(): 0.0}``.  One depth-first walk of the
+    prefix tree with ``start``/``advance``/``probs`` computes each node once:
+    a child's total is its parent's plus ``math.log(p)``, the fold
+    :meth:`AlternativeModel.prefix_log_probabilities` makes, so every entry
+    equals ``sequence_log_probability`` bit for bit.  A string through a
+    zero-probability symbol (log probability -inf) has no entry, and the
+    walk never advances past one.
     """
-    levels = [np.full(1 << k, -math.inf) for k in range(depth + 1)]
-    levels[0][0] = 0.0
+    levels = [{(): 0.0}] + [{} for _ in range(depth)]
 
-    def walk(state, k: int, code: int, total: float) -> None:
+    def walk(state, prefix: tuple, total: float) -> None:
         probs = model.probs(state)
         for z in (0, 1):
             p = float(probs[z])
             if p <= 0.0:
                 continue
-            child, child_total = 2 * code + z, total + math.log(p)
-            levels[k + 1][child] = child_total
-            if k + 1 < depth:
-                walk(model.advance(state, z), k + 1, child, child_total)
+            child, child_total = prefix + (z,), total + math.log(p)
+            levels[len(child)][child] = child_total
+            if len(child) < depth:
+                walk(model.advance(state, z), child, child_total)
 
-    walk(model.start(), 0, 0, 0.0)
+    walk(model.start(), (), 0.0)
     return levels
 
 
@@ -730,7 +729,7 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     The table's statistic Q(bits) / ML(bits) reads Q from one walk of the
     prefix tree (:func:`_log_q_levels`), so each prefix is folded once
     rather than once per string that extends it.  For every grid length n
-    the walk's value for the realized prefix ``data[:n]`` must equal
+    the walk's value for the data's prefix ``data[:n]`` must equal
     ``model.sequence_log_probability(data[:n])`` exactly, or the run
     raises: a self-audit of the walk against the model's own fold.  The data
     and the alternative are checked by :func:`ctmkit.eprocess.run_eprocess`,
@@ -744,8 +743,7 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
         field = "alt" if model.alphabet_size != 2 else "null" if cfg.dgp == "null" else "dgp"
         raise ConfigError(f"{field}: {err}") from err
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     with (out_dir / "eprocess_trajectory.csv").open("w", encoding="utf-8") as fh:
         fh.write("n,z,ones,log_q,log_ml,e_value,log10_e\n")
         for record, z in zip(records, data):
@@ -760,32 +758,22 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     n_grid = list(range(1, min(cfg.horizon, EVAR_MAX_N) + 1))
     levels = _log_q_levels(model, len(n_grid))
     evar_max = 0.0
-    realized = 0  # binary code of data[:n]
     with (out_dir / "evar_table.csv").open("w", encoding="utf-8") as fh:
         fh.write("theta,n,expectation\n")
         for n in n_grid:
-            log_q = levels[n].tolist()
-            realized = 2 * realized + int(data[n - 1])
+            log_q = levels[n].get(tuple(map(int, data[:n])), -math.inf)
             folded = model.sequence_log_probability(data[:n])
-            if log_q[realized] != folded:
+            if log_q != folded:
                 raise RuntimeError(
                     f"e-variable table: prefix-tree log q of data[:{n}] is "
-                    f"{log_q[realized]!r}, the model's fold gives {folded!r}"
+                    f"{log_q!r}, the model's fold gives {folded!r}"
                 )
             log_ml = [log_ml_sup(n, ones) for ones in range(n + 1)]
-            values = [
-                linear_from_log(q - log_ml[bin(code).count("1")])
-                for code, q in enumerate(log_q)
-            ]
-
-            def stat(bits, _values=values):
-                code = 0
-                for b in bits:
-                    code = 2 * code + b
-                return _values[code]
-
+            # a string missing from the walk has probability 0 and scores 0
+            values = {s: linear_from_log(q - log_ml[sum(s)]) for s, q in levels[n].items()}
             for theta in thetas:
-                expectation = _oracle.evariable_expectation(stat, theta, n)
+                expectation = _oracle.evariable_expectation(
+                    lambda s: values.get(s, 0.0), theta, n)
                 evar_max = max(evar_max, expectation)
                 fh.write(f"{_fmt(theta)},{n},{_fmt(expectation)}\n")
     evar_ok = evar_max <= 1.0 + EVAR_TOL
@@ -806,17 +794,7 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
         demo = cfg.example1_values
         if demo is None:
             demo = substream(cfg.seed, _STREAM_DEMO).standard_normal(max(cfg.horizon, 2))
-        block = example_distinct_report(demo)
-        report.update(
-            {
-                "example1_n": block["n"],
-                "example1_all_distinct": bool(block["all_distinct"]),
-                "example1_log_empirical_ml": block["log_empirical_ml"],
-                "example1_empirical_ml": block["empirical_ml"],
-                "example1_log_nn_floor": block["log_nn_floor"],
-                "example1_continuous_lr": block["continuous_alternative_likelihood_ratio"],
-            }
-        )
+        report.update((f"example1_{k}", v) for k, v in example_distinct_report(demo).items())
 
     report["ok"] = bool(evar_ok)
     write_json(out_dir / "eprocess.json", report)

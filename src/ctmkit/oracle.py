@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conformal import ConformityMeasure
-from .models import AlternativeModel
+from .models import AlternativeModel, integer
 
 __all__ = [
     "CellPath",
@@ -40,7 +40,6 @@ __all__ = [
     "cell_volume_closure",
     "pushforward_kl",
     "expected_log_wealth",
-    "bk_factor_sequences",
     "sample_betting_family",
     "evariable_expectation",
 ]
@@ -94,7 +93,7 @@ def cell_tree(
     step and 1.0 afterwards, matching the engine's behavior after wealth
     hits zero.
     """
-    horizon = int(horizon)
+    horizon = integer(horizon, "horizon")
     if not 1 <= horizon <= MAX_TREE_HORIZON:
         raise ValueError(
             f"cell tree cost grows like N! * alphabet**N; horizon must be in "
@@ -196,10 +195,6 @@ def expected_log_wealth(cells, factor_sequences) -> float:
     return math.fsum(terms)
 
 
-def bk_factor_sequences(cells) -> list:
-    return [c.bk_heights for c in cells]
-
-
 def sample_betting_family(cells, rng: np.random.Generator) -> list:
     """Random rival betting family on the same filtration.
 
@@ -256,7 +251,7 @@ def evariable_expectation(statistic: Callable, theta: float, n: int) -> float:
 
     Full enumeration of all 2^n bit strings; capped at n = 20.
     """
-    n = int(n)
+    n = integer(n, "n")
     if not 1 <= n <= MAX_ENUM_BITS:
         raise ValueError(f"full enumeration capped at n = {MAX_ENUM_BITS}, got {n}")
     if not 0.0 <= theta <= 1.0:

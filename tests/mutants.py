@@ -73,6 +73,18 @@ MUTANTS = (
            "    n_star = int(np.count_nonzero(s < last))",
            "    n_star = int(np.count_nonzero(s <= last))",
            ("tests/test_conformal.py",)),
+    Mutant("NaN law passes the law check", "models.py",
+           "    ok = (laws >= 0.0).all(axis=1) & (np.abs(laws.sum(axis=1) - 1.0) <= PROB_SUM_TOL)",
+           "    ok = ~((laws < 0.0).any(axis=1) | (np.abs(laws.sum(axis=1) - 1.0) > PROB_SUM_TOL))",
+           ("tests/test_models.py",)),
+    Mutant("bayes_kelly spec makes a constant bettor", "harness.py",
+           "        return partial(bayes_kelly_bettor, model, measure)",
+           "        return ConstantBettor",
+           ("tests/test_harness.py",)),
+    Mutant("prefix-tree walk stores a child at its parent's level", "harness.py",
+           "            levels[len(child)][child] = child_total",
+           "            levels[len(prefix)][child] = child_total",
+           ("tests/test_harness.py",)),
     Mutant("null's top symbol may equal the alphabet size", "harness.py",
            "    elif cfg.null_top >= m:",
            "    elif cfg.null_top > m:",

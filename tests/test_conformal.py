@@ -9,7 +9,6 @@ from ctmkit import (
     IdentityMeasure,
     PointMassModel,
     bayes_kelly_bettor,
-    bk_factor_sequences,
     cell_tree,
     ctm_run,
     pvalue_step,
@@ -217,7 +216,7 @@ class TestCtmRun:
             min(int(s.p * n), n - 1) for n, s in enumerate(steps, start=1)
         )
         (match,) = [c for c in cells if c.intervals == intervals]
-        factors = bk_factor_sequences(cells)[cells.index(match)]
+        factors = match.bk_heights
         assert bettor.wealth == pytest.approx(math.prod(factors), rel=1e-12)
         assert linear_from_log(steps[-1].log_wealth) == bettor.wealth
 

@@ -40,6 +40,18 @@ class TestMlSup:
         with pytest.raises(ValueError):
             _ml_sup(3, -1)
 
+    @pytest.mark.parametrize("n,ones,shown", [(2.7, 1, r"^n must be an integer, got 2\.7$"),
+                                              (3, 1.5, r"^ones count must be an integer, got 1\.5$"),
+                                              (True, 0, r"^n must be an integer, got True$")],
+                             ids=["n=2.7", "ones=1.5", "n=True"])
+    def test_counts_are_not_truncated(self, n, ones, shown):
+        # 2.7 is not read as n = 2 (whose value is log 1/4)
+        with pytest.raises(ValueError, match=shown):
+            log_ml_sup(n, ones)
+
+    def test_integral_float_counts_are_read(self):
+        assert log_ml_sup(2.0, 1.0) == log_ml_sup(2, 1)
+
     def test_dominates_every_bernoulli_likelihood(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
@@ -146,10 +158,10 @@ class TestExampleReport:
         assert report["log_nn_floor"] == -5 * math.log(5)
         assert report["log_empirical_ml"] == pytest.approx(report["log_nn_floor"], abs=1e-14)
         assert report["empirical_ml"] == pytest.approx(5.0**-5, rel=1e-12)
-        assert report["continuous_alternative_likelihood_ratio"] == 0.0
+        assert report["continuous_lr"] == 0.0
 
     def test_tied_block(self):
         report = example_distinct_report([1.0, 1.0, 2.0])
         assert report["all_distinct"] is False
         assert report["log_empirical_ml"] > report["log_nn_floor"]
-        assert report["continuous_alternative_likelihood_ratio"] == 0.0
+        assert report["continuous_lr"] == 0.0

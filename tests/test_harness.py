@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,10 +13,14 @@ from scipy import special, stats
 
 from ctmkit import (
     AlternativeModel,
+    BayesKellyBettor,
+    CollapsedBayesKellyBettor,
+    ConstantBettor,
     HiddenStateModel,
     IdentityMeasure,
+    PiecewiseDensity,
     PointMassModel,
-    bk_factor_sequences,
+    ShrunkAlternativeBettor,
     cell_tree,
     changepoint_model,
     expected_log_wealth,
@@ -237,7 +242,7 @@ class TestSimulate:
         cfg = _cfg(tmp_path, dgp="alt", reps=1500, horizon=6, seed=101)
         report = run_simulate(cfg)
         cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 6)
-        target = expected_log_wealth(cells, bk_factor_sequences(cells))
+        target = expected_log_wealth(cells, [c.bk_heights for c in cells])
         gap = abs(report["mean_log_wealth"] - target)
         assert gap <= 3.0 * report["se_log_wealth"]
 
@@ -497,6 +502,27 @@ class TestInputFileConfig:
         assert not (tmp_path / "out").exists()
 
 
+class TestBettorFactory:
+    # the spec is parsed once, into cfg.new_bettor; build_bettor only calls it
+    @pytest.mark.parametrize("spec,measure,kind", [
+        ("bayes_kelly", "identity", CollapsedBayesKellyBettor),
+        ("bayes_kelly", "distmean", BayesKellyBettor),
+        ("constant", "identity", ConstantBettor),
+        ("density:{family}", "identity", ShrunkAlternativeBettor),
+    ])
+    def test_one_fresh_bettor_per_call(self, tmp_path, spec, measure, kind):
+        family = tmp_path / "family.json"
+        family.write_text('{"2": [2.0, 0.0]}', encoding="utf-8")
+        cfg = _cfg(tmp_path, bettor=spec.format(family=family), measure=measure)
+        for config in (cfg, pickle.loads(pickle.dumps(cfg))):
+            first, model, conformity = harness.build_bettor(config)
+            second = harness.build_bettor(config)[0]
+            assert type(first) is kind and type(second) is kind and first is not second
+            assert model is config.model and conformity is config.conformity
+        if kind is ShrunkAlternativeBettor:
+            assert first.family == {2: PiecewiseDensity((2.0, 0.0))}
+
+
 class TestDensityBettorConfig:
     @pytest.mark.parametrize("payload", ['{"1": [1.5], "2": [1.0, 1.0]}', '{"1": [1.0',
                                          '[[1.0]]', '{"x": [1.0]}'])
@@ -650,9 +676,12 @@ class TestEVariableTableWalk:
         levels = harness._log_q_levels(model, 12)
         assert len(levels) == 13
         for k, level in enumerate(levels):
-            want = [model.sequence_log_probability(bits)
-                    for bits in itertools.product((0, 1), repeat=k)]
-            assert level.tolist() == want
+            strings = list(itertools.product((0, 1), repeat=k))
+            want = [model.sequence_log_probability(bits) for bits in strings]
+            # a string missing from the level reads as -inf
+            assert [level.get(bits, -math.inf) for bits in strings] == want
+            assert set(level) <= set(strings)
+            assert -math.inf not in level.values()
 
     @pytest.mark.parametrize("alt,horizon", list(EPROCESS_DIGESTS))
     def test_outputs_unchanged(self, tmp_path, alt, horizon):
@@ -681,7 +710,7 @@ class TestEVariableTableWalk:
 
         def off_by_one_ulp(model, depth):
             levels = walk(model, depth)
-            levels[3][:] = np.nextafter(levels[3], 0.0)
+            levels[3] = {s: float(np.nextafter(q, 0.0)) for s, q in levels[3].items()}
             return levels
 
         monkeypatch.setattr(harness, "_log_q_levels", off_by_one_ulp)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from ctmkit import (
     DistanceToMeanMeasure,
     IdentityMeasure,
     PointMassModel,
-    bk_factor_sequences,
     cell_tree,
     cell_volume_closure,
     changepoint_model,
@@ -64,6 +64,17 @@ class TestCellTree:
         with pytest.raises(ValueError):
             cell_tree(iid_model([0.5, 0.5]), IdentityMeasure(), 0)
 
+    @pytest.mark.parametrize("horizon", [2.9, True])
+    def test_horizon_is_not_truncated(self, horizon):
+        # read by the integer rule: 2.9 is not the horizon-2 tree, a bool is no count
+        shown = re.escape(repr(horizon))
+        with pytest.raises(ValueError, match=rf"^horizon must be an integer, got {shown}$"):
+            cell_tree(iid_model([0.5, 0.5]), IdentityMeasure(), horizon)
+
+    def test_integral_float_horizon_is_read(self):
+        model = changepoint_model(0.5, 0.9, 0.2)
+        assert cell_tree(model, IdentityMeasure(), 3.0) == cell_tree(model, IdentityMeasure(), 3)
+
     def test_cells_sorted_by_interval_path(self):
         cells = cell_tree(markov_model(0.3, 0.2), IdentityMeasure(), 4)
         paths = [c.intervals for c in cells]
@@ -75,8 +86,8 @@ class TestPushforwardKl:
         cells = cell_tree(iid_model([0.5, 0.5]), IdentityMeasure(), 4)
         assert pushforward_kl(cells) == pytest.approx(0.0, abs=1e-12)
         # Bayes-Kelly never bets: every height is 1
-        for factors in bk_factor_sequences(cells):
-            assert factors == pytest.approx([1.0] * 4, abs=1e-12)
+        for cell in cells:
+            assert cell.bk_heights == pytest.approx([1.0] * 4, abs=1e-12)
 
     def test_point_mass_log_two(self):
         cells = cell_tree(PointMassModel([1, 0], alphabet_size=2), IdentityMeasure(), 2)
@@ -99,12 +110,12 @@ class TestExpectedLogWealth:
 
     def test_bayes_kelly_attains_kl(self):
         cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 5)
-        value = expected_log_wealth(cells, bk_factor_sequences(cells))
+        value = expected_log_wealth(cells, [c.bk_heights for c in cells])
         assert value == pytest.approx(pushforward_kl(cells), abs=1e-9)
 
     def test_rivals_never_beat_bayes_kelly(self):
         cells = cell_tree(markov_model(0.1, 0.1), IdentityMeasure(), 3)
-        best = expected_log_wealth(cells, bk_factor_sequences(cells))
+        best = expected_log_wealth(cells, [c.bk_heights for c in cells])
         rng = np.random.default_rng(42)
         for _ in range(100):
             family = sample_betting_family(cells, rng)
@@ -138,7 +149,7 @@ class TestExpectedLogWealth:
 
         cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 4)
         rng = np.random.default_rng(44)
-        families = [bk_factor_sequences(cells)]
+        families = [[c.bk_heights for c in cells]]
         families += [sample_betting_family(cells, rng) for _ in range(20)]
         for special in (0.0, -0.0, -1.0, math.nan, math.inf):
             for at in (0, len(cells) // 2, len(cells) - 1):
@@ -245,6 +256,15 @@ class TestEVariableExpectation:
         with pytest.raises(ValueError):
             evariable_expectation(lambda bits: 1.0, 1.5, 3)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_n_is_not_truncated(self, n):
+        shown = re.escape(repr(n))
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {shown}$"):
+            evariable_expectation(lambda bits: 1.0, 0.5, n)
+
+    def test_integral_float_n_is_read(self):
+        assert evariable_expectation(lambda bits: 2.0 * bits[0], 0.5, 3.0) == 1.0
+
 
 class TestEngineAgreement:
     def test_heights_and_weights_along_every_cell(self):
@@ -267,7 +287,7 @@ class TestEngineAgreement:
     def test_factor_products_telescope_to_cell_mass(self):
         model = markov_model(0.1, 0.1)
         cells = cell_tree(model, IdentityMeasure(), 4)
-        for cell, factors in zip(cells, bk_factor_sequences(cells)):
-            assert math.prod(factors) == pytest.approx(
+        for cell in cells:
+            assert math.prod(cell.bk_heights) == pytest.approx(
                 math.factorial(4) * cell.q_mass, rel=1e-10, abs=1e-12
             )
