@@ -55,6 +55,7 @@ from .oracle import (
     cell_volume_closure,
     evariable_expectation,
     expected_log_wealth,
+    node_plan,
     pushforward_kl,
     sample_betting_family,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "log_empirical_ml",
     "log_ml_sup",
     "markov_model",
+    "node_plan",
     "pushforward_kl",
     "pvalue_step",
     "read_observation_stream",

@@ -661,10 +661,11 @@ def run_optimality(cfg: ExperimentConfig) -> dict:
     expected_log = _oracle.expected_log_wealth(cells, [c.bk_heights for c in cells])
     kl = _oracle.pushforward_kl(cells)
     rng = substream(cfg.seed, _STREAM_RIVALS)
+    plan = _oracle.node_plan(cells)
     rival_values = []
     for _ in range(cfg.rivals):
-        family = _oracle.sample_betting_family(cells, rng)
-        rival_values.append(_oracle.expected_log_wealth(cells, family))
+        heights = _oracle.sample_betting_family(plan, rng)
+        rival_values.append(_oracle.expected_log_wealth(cells, heights, plan))
     rival_max = max(rival_values) if rival_values else -math.inf
     identity_gap = abs(expected_log - kl)
     identity_ok = identity_gap <= IDENTITY_TOL

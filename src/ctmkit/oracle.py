@@ -19,6 +19,16 @@ uses plain dictionaries and direct products, no code shared with the engine,
 so agreement is evidence rather than tautology.  Costs grow like N! * |Z|^N;
 the horizon is capped accordingly.  All sums run in a fixed order (ascending
 cell index) so results do not depend on scheduling.
+
+Work shared by many cells is done once per call.  The cell tree memoises
+each candidate prefix's conditional law and rank counts in dicts local to
+one call: both are pure functions of the prefix, so a prefix met at many
+nodes gets the same values it would get if recomputed there.  Rival
+families share one :class:`NodePlan` (which history node each cell meets at
+each depth, and where that node's heights sit in a rival's flat list), built
+once per cell list; a rival is then one list of node heights, and each
+height's log is taken once.  The memo and the plan only cache this module's
+own values, so the oracle still shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,10 +47,12 @@ from .models import AlternativeModel, integer
 
 __all__ = [
     "CellPath",
+    "NodePlan",
     "cell_tree",
     "cell_volume_closure",
     "pushforward_kl",
     "expected_log_wealth",
+    "node_plan",
     "sample_betting_family",
     "evariable_expectation",
 ]
@@ -102,6 +115,8 @@ def cell_tree(
     m = model.alphabet_size
     volume = 1.0 / math.factorial(horizon)
     cells: list = []
+    laws: dict = {}  # prefix -> model.conditional(prefix)
+    ranks: dict = {}  # prefix -> rank counts of its last score
 
     def walk(candidates: dict, n: int, ipath: tuple, hpath: tuple) -> None:
         if n > horizon:
@@ -118,21 +133,23 @@ def cell_tree(
             return
         extended: dict = {}
         for prefix, weight in candidates.items():
-            probs = model.conditional(prefix)
+            if prefix not in laws:
+                laws[prefix] = model.conditional(prefix)
+            probs = laws[prefix]
             for z in range(m):
                 wz = weight * float(probs[z])
                 if wz > 0.0:
                     extended[prefix + (z,)] = wz
-        stats = {}
         for prefix in extended:
-            scores = [float(s) for s in measure.scores(np.asarray(prefix, dtype=float))]
-            stats[prefix] = _rank_counts(scores)
+            if prefix not in ranks:
+                scores = [float(s) for s in measure.scores(np.asarray(prefix, dtype=float))]
+                ranks[prefix] = _rank_counts(scores)
         total = math.fsum(extended.values())
         for interval in range(n):
             if total > 0.0:
                 survivors = {}
                 for prefix, weight in extended.items():
-                    below, upto = stats[prefix]
+                    below, upto = ranks[prefix]
                     if below <= interval < upto:
                         survivors[prefix] = weight / (upto - below)
                 height = n * math.fsum(survivors.values()) / total
@@ -168,55 +185,86 @@ def pushforward_kl(cells) -> float:
     return math.fsum(terms)
 
 
-def expected_log_wealth(cells, factor_sequences) -> float:
+def _logs(factors) -> list:
+    # None marks a factor that is not positive, where math.log would raise;
+    # NaN is not <= 0.0 and logs to NaN, as math.log gives it
+    return [None if f <= 0.0 else math.log(f) for f in factors]
+
+
+def expected_log_wealth(cells, factors, plan: Optional[NodePlan] = None) -> float:
     """Expected log final wealth of a betting family under the alternative.
 
-    ``factor_sequences`` aligns with ``cells``: per cell, the factors met
-    along its path.  Returns -inf (a signaled value, not an error) when a
-    positive-mass cell meets a zero factor.
+    Without ``plan``, ``factors`` aligns with ``cells``: per cell, the
+    factors met along its path.  With the ``plan`` of these cells,
+    ``factors`` is one rival's flat list of node heights from
+    :func:`sample_betting_family`, and cell c's factors are
+    ``plan.getters[c](factors)``.  Returns -inf (a signaled value, not an
+    error) when a positive-mass cell meets a zero factor.
 
     It stays a plain, independent reference: the engine adds its log factors
-    one step at a time, while here each cell's term is the exactly rounded
-    sum (``math.fsum``) of ``math.log`` of the factors on its path, with no
-    code shared.  ``math.log`` raising on a zero or negative factor is the
-    -inf case, which gives the same bits as testing every factor first, also
-    on NaN and inf factors.
+    one step at a time, while here each cell's term is its q mass times the
+    ``math.fsum`` of the ``math.log`` of its factors, and the result is the
+    ``fsum`` of the terms in cell order.  Both forms run the same loop; the
+    node form logs each node height once, not once per cell that meets it.
+    A zero or negative factor, on which ``math.log`` would raise, gives -inf
+    on a positive-mass cell: the same bits as testing every factor first,
+    also on NaN and inf factors.
     """
-    if len(cells) != len(factor_sequences):
-        raise ValueError("factor sequences must align with cells")
+    if plan is None:
+        if len(cells) != len(factors):
+            raise ValueError("factor sequences must align with cells")
+        cell_logs = map(_logs, factors)
+    else:
+        if len(cells) != len(plan.getters):
+            raise ValueError("the node plan must be built from these cells")
+        node_logs = _logs(factors)
+        cell_logs = (get(node_logs) for get in plan.getters)
     terms = []
-    for cell, factors in zip(cells, factor_sequences):
+    for cell, logs in zip(cells, cell_logs):
         if cell.q_mass <= 0.0:
             continue
-        try:
-            terms.append(cell.q_mass * math.fsum(map(math.log, factors)))
-        except ValueError:
+        if None in logs:
             return -math.inf
+        terms.append(cell.q_mass * math.fsum(logs))
     return math.fsum(terms)
 
 
-def sample_betting_family(cells, rng: np.random.Generator) -> list:
-    """Random rival betting family on the same filtration.
+@dataclass(frozen=True)
+class NodePlan:
+    """Where a rival family's node heights go, shared by every rival on one
+    cell list (see :func:`node_plan`).
 
-    Draws one normalized density (uniform on the simplex, scaled to the
-    grid) per history node, so cells sharing a p-value history share the
-    density they face: the rival is a legitimate betting martingale, just
-    not the predictive one.
+    ``sizes[r]`` is the number of intervals node r faces, nodes in draw
+    order; ``grid`` has one row per node, True on its first ``sizes[r]``
+    entries; ``getters[c]`` maps a rival's flat list of node heights (node
+    0's heights, then node 1's, ...) to cell c's factors, a tuple with one
+    factor per step.
+    """
 
-    A node at depth n - 1 faces n intervals and gets ``dirichlet(ones(n)) *
-    n``; nodes draw in first-visit order (by the first cell that reaches
-    them, then by depth).  Dirichlet(1, ..., 1) is n standard exponentials
-    over their sum, and numpy's ``Generator.dirichlet`` (numpy 2.4; a test
-    compares the two with ``==``) computes it that way for unit weights:
-    one ``standard_exponential`` per entry from the same stream, a
-    left-to-right sum, then each entry times the reciprocal of the sum.  So
-    all the nodes' exponentials come from one ``standard_exponential`` call
-    and are normalised together with the same operations, which leaves both
-    the heights and the generator state bit for bit as one ``dirichlet``
-    call per node would.
+    sizes: np.ndarray
+    grid: np.ndarray
+    getters: tuple
+
+
+def _getter(path) -> Callable:
+    if len(path) == 1:
+        # itemgetter with a single index returns the item, not a 1-tuple
+        index = path[0]
+        return lambda heights: (heights[index],)
+    return itemgetter(*path)
+
+
+def node_plan(cells) -> NodePlan:
+    """The history-node plan of ``cells``, built once for any number of rivals.
+
+    A history node is a p-value history: cells whose interval paths agree on
+    their first d entries meet the same node at depth d, which faces d + 1
+    intervals.  Nodes are numbered in first-visit order: by the first cell
+    that reaches them, then by depth.  Cell c's factor at depth d is entry
+    ``intervals[d]`` of its node's heights.
     """
     if not cells:
-        return []
+        return NodePlan(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool), ())
     iv = np.array([cell.intervals for cell in cells], dtype=np.int64)
     count, horizon = iv.shape
     cell_index = np.arange(count)
@@ -236,14 +284,39 @@ def sample_betting_family(cells, rng: np.random.Generator) -> list:
     draw_row = opens.ravel().cumsum().reshape(count, horizon) - 1
     sizes = np.nonzero(opens)[1] + 1  # intervals per node, in draw order
     grid = np.arange(horizon) < sizes[:, None]  # row r: node r's entries, zero-padded
-    heights = np.zeros(grid.shape)
-    heights[grid] = rng.standard_exponential(int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes  # where each node's heights begin in the flat list
+    paths = starts[draw_row[first, np.arange(horizon)]] + iv
+    return NodePlan(sizes, grid, tuple(map(_getter, paths.tolist())))
+
+
+def sample_betting_family(plan: NodePlan, rng: np.random.Generator) -> list:
+    """Random rival betting family on the filtration of ``plan``'s cells.
+
+    Draws one normalized density (uniform on the simplex, scaled to the
+    grid) per history node, so cells sharing a p-value history share the
+    density they face: the rival is a legitimate betting martingale, just
+    not the predictive one.  Returns the rival's flat list of node heights,
+    in the plan's draw order; ``plan.getters[c]`` reads cell c's factors
+    from it, and :func:`expected_log_wealth` scores it with the plan.
+
+    A node facing n intervals gets ``dirichlet(ones(n)) * n``; nodes draw in
+    the plan's first-visit order.  Dirichlet(1, ..., 1) is n standard
+    exponentials over their sum, and numpy's ``Generator.dirichlet`` (numpy
+    2.4; a test compares the two with ``==``) computes it that way for unit
+    weights: one ``standard_exponential`` per entry from the same stream, a
+    left-to-right sum, then each entry times the reciprocal of the sum.  So
+    all the nodes' exponentials come from one ``standard_exponential`` call
+    and are normalised together with the same operations, which leaves both
+    the heights and the generator state bit for bit as one ``dirichlet``
+    call per node would.  An empty plan draws nothing.
+    """
+    heights = np.zeros(plan.grid.shape)
+    heights[plan.grid] = rng.standard_exponential(int(plan.sizes.sum()))
     total = np.zeros(len(heights))
-    for j in range(horizon):  # left to right, as dirichlet sums; padding adds 0.0
+    for j in range(heights.shape[1]):  # left to right, as dirichlet sums; padding adds 0.0
         total = total + heights[:, j]
-    heights = heights * (1.0 / total)[:, None] * sizes[:, None]
-    factors = heights[draw_row[first, np.arange(horizon)], iv]
-    return list(map(tuple, factors.tolist()))
+    heights = heights * (1.0 / total)[:, None] * plan.sizes[:, None]
+    return heights[plan.grid].tolist()
 
 
 def evariable_expectation(statistic: Callable, theta: float, n: int) -> float:
@@ -256,10 +329,11 @@ def evariable_expectation(statistic: Callable, theta: float, n: int) -> float:
         raise ValueError(f"full enumeration capped at n = {MAX_ENUM_BITS}, got {n}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    # a string's probability depends only on its count of ones
+    probs = [theta**ones * (1.0 - theta) ** (n - ones) for ones in range(n + 1)]
     terms = []
     for bits in itertools.product((0, 1), repeat=n):
-        ones = sum(bits)
-        prob = theta**ones * (1.0 - theta) ** (n - ones)
+        prob = probs[sum(bits)]
         if prob > 0.0:
             terms.append(prob * float(statistic(bits)))
     return math.fsum(terms)

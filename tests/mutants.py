@@ -2,7 +2,9 @@
 
 Each entry names a fault, the module under ``src/ctmkit`` it goes in, the
 exact line it replaces (indentation included), that line's replacement, and
-the test files that must fail with it in place.  An entry with an
+the test files that must fail with it in place.  A line that occurs more
+than once is named by ``occurrence = (k, count)``: the k-th of exactly
+``count`` occurrences, from the top of the module.  An entry with an
 ``equivalent`` reason is a mutant no test can tell from the real code; its
 line is still looked up, but its tests are not run.
 
@@ -13,7 +15,7 @@ Run from anywhere in a checkout:
 Each mutant is written into a fresh copy of ``src/`` and its test files run
 against that copy with ``pytest -x``.  The run exits 1 if a mutant survives,
 if its tests fail to run at all, or if an ``old`` line is not found exactly
-once: a stale entry is updated, never skipped.  ``tests/test_mutants.py``
+as often as its entry says: a stale entry is updated, never skipped.  ``tests/test_mutants.py``
 checks the lines alone, in the package tests.
 """
 
@@ -38,6 +40,7 @@ class Mutant(NamedTuple):
     new: str
     tests: tuple
     equivalent: str = ""
+    occurrence: tuple = (1, 1)
 
 
 MUTANTS = (
@@ -94,6 +97,25 @@ MUTANTS = (
            'else "dgp"',
            '        field = "dgp"',
            ("tests/test_cli.py",)),
+    Mutant("CSV header written before the bettor-data check", "harness.py",
+           "    _check_bettor_data(cfg)",
+           '    (_out_dir(cfg) / "trajectory.csv").write_text(CSV_HEADER + "\\n"); '
+           "_check_bettor_data(cfg)",
+           ("tests/test_cli.py",),
+           occurrence=(1, 2)),
+    Mutant("cell tree reads the law memoised at the parent prefix", "oracle.py",
+           "            probs = laws[prefix]",
+           "            probs = laws.get(prefix[:-1], laws[prefix])",
+           ("tests/test_oracle.py",)),
+    Mutant("cell tree reads the rank counts memoised at the parent prefix", "oracle.py",
+           "                    below, upto = ranks[prefix]",
+           "                    below, upto = ranks.get(prefix[:-1], ranks[prefix])",
+           ("tests/test_oracle.py",)),
+    Mutant("rival cell path reads the next slot of its node", "oracle.py",
+           "    paths = starts[draw_row[first, np.arange(horizon)]] + iv",
+           "    paths = starts[draw_row[first, np.arange(horizon)]] + (iv + 1) % "
+           "(np.arange(horizon) + 1)",
+           ("tests/test_oracle.py",)),
     Mutant("cell tree sums its Q mass left to right", "oracle.py",
            "            q_mass = math.fsum(candidates.values())",
            "            q_mass = sum(candidates.values())",
@@ -104,13 +126,16 @@ MUTANTS = (
 
 
 def line_index(mutant: Mutant, src: Path) -> int:
-    """Index of ``mutant.old`` among the lines of its module under ``src``;
-    LookupError unless it occurs exactly once."""
+    """Index of the ``mutant.old`` line the entry names among the lines of its
+    module under ``src``; LookupError unless the line occurs exactly as many
+    times as ``mutant.occurrence`` says."""
     lines = (src / "ctmkit" / mutant.file).read_text(encoding="utf-8").split("\n")
     hits = [i for i, line in enumerate(lines) if line == mutant.old]
-    if len(hits) != 1:
-        raise LookupError(f"{mutant.name}: old line found {len(hits)} times in {mutant.file}")
-    return hits[0]
+    k, count = mutant.occurrence
+    if len(hits) != count:
+        raise LookupError(f"{mutant.name}: old line found {len(hits)} times in {mutant.file}, "
+                          f"expected {count}")
+    return hits[k - 1]
 
 
 def run(mutant: Mutant, src: Path) -> str:

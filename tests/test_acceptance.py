@@ -23,6 +23,7 @@ from ctmkit import (
     example_distinct_report,
     iid_model,
     markov_model,
+    node_plan,
     pushforward_kl,
     pvalue_step,
     run_eprocess,
@@ -137,8 +138,9 @@ def test_criterion_3_no_rival_dominates(certified_trees):
     for index, (name, model, measure, N, cells) in enumerate(trees):
         best = expected_log_wealth(cells, [c.bk_heights for c in cells])
         rng = np.random.default_rng(np.random.SeedSequence(555, spawn_key=(index,)))
+        plan = node_plan(cells)
         for _ in range(rivals_each):
-            value = expected_log_wealth(cells, sample_betting_family(cells, rng))
+            value = expected_log_wealth(cells, sample_betting_family(plan, rng), plan)
             worst_margin = max(worst_margin, value - best)
     ok = worst_margin <= 1e-12
     _verdict(

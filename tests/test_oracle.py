@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from ctmkit import (
     BayesKellyBettor,
+    CellPath,
     DistanceToMeanMeasure,
     IdentityMeasure,
     PointMassModel,
@@ -18,6 +20,7 @@ from ctmkit import (
     expected_log_wealth,
     iid_model,
     markov_model,
+    node_plan,
     pushforward_kl,
     run_eprocess,
     sample_betting_family,
@@ -117,9 +120,10 @@ class TestExpectedLogWealth:
         cells = cell_tree(markov_model(0.1, 0.1), IdentityMeasure(), 3)
         best = expected_log_wealth(cells, [c.bk_heights for c in cells])
         rng = np.random.default_rng(42)
+        plan = node_plan(cells)
         for _ in range(100):
-            family = sample_betting_family(cells, rng)
-            assert expected_log_wealth(cells, family) <= best + 1e-12
+            heights = sample_betting_family(plan, rng)
+            assert expected_log_wealth(cells, heights, plan) <= best + 1e-12
 
     def test_zero_factor_on_charged_cell_signals_minus_inf(self):
         cells = cell_tree(markov_model(0.1, 0.1), IdentityMeasure(), 2)
@@ -132,40 +136,86 @@ class TestExpectedLogWealth:
             expected_log_wealth(cells, [[1.0]] * (len(cells) - 1))
 
     def test_matches_per_factor_loop(self):
-        # the loop that tests each factor before taking its log, the
-        # oracle's earlier form: same bits, also on signed zeros, NaN and inf
-        def loop(cells, family):
-            terms = []
-            for cell, factors in zip(cells, family):
-                if cell.q_mass <= 0.0:
-                    continue
-                logs = []
-                for f in factors:
-                    if f <= 0.0:
-                        return -math.inf
-                    logs.append(math.log(f))
-                terms.append(cell.q_mass * math.fsum(logs))
-            return math.fsum(terms)
-
         cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 4)
         rng = np.random.default_rng(44)
+        plan = node_plan(cells)
         families = [[c.bk_heights for c in cells]]
-        families += [sample_betting_family(cells, rng) for _ in range(20)]
+        families += [_cell_factors(plan, sample_betting_family(plan, rng)) for _ in range(20)]
         for special in (0.0, -0.0, -1.0, math.nan, math.inf):
             for at in (0, len(cells) // 2, len(cells) - 1):
                 family = [list(factors) for factors in families[0]]
                 family[at][-1] = special
                 families.append(family)
         for family in families:
-            got, want = expected_log_wealth(cells, family), loop(cells, family)
-            assert got == want or (math.isnan(got) and math.isnan(want))
+            _assert_same(expected_log_wealth(cells, family), _per_factor_loop(cells, family))
+
+    def test_node_form_matches_per_factor_loop(self, cell_lists):
+        # a rival scored from its node heights, each logged once, against the
+        # reference loop over the same rival drawn one dirichlet per node
+        for seed, cells in enumerate(cell_lists):
+            plan = node_plan(cells)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                heights = sample_betting_family(plan, got_rng)
+                want = _per_factor_loop(cells, _one_dirichlet_per_node(cells, want_rng))
+                assert expected_log_wealth(cells, heights, plan) == want
+                assert expected_log_wealth(cells, _cell_factors(plan, heights)) == want
+
+    def test_node_form_special_heights(self):
+        # NaN, inf and nonpositive node heights give the reference loop's bits
+        cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 4)
+        plan = node_plan(cells)
+        drawn = sample_betting_family(plan, np.random.default_rng(45))
+        for special in (0.0, -0.0, -1.0, math.nan, math.inf):
+            for at in (0, len(drawn) // 2, len(drawn) - 1):
+                heights = list(drawn)
+                heights[at] = special
+                got = expected_log_wealth(cells, heights, plan)
+                _assert_same(got, _per_factor_loop(cells, _cell_factors(plan, heights)))
+
+    def test_zero_node_height_is_minus_inf_only_on_a_charged_cell(self):
+        # the point mass 1, 0 charges one of the two horizon-2 cells
+        cells = cell_tree(PointMassModel([1, 0], alphabet_size=2), IdentityMeasure(), 2)
+        assert sorted(c.q_mass for c in cells) == [0.0, 1.0]
+        plan = node_plan(cells)
+        heights = sample_betting_family(plan, np.random.default_rng(46))
+        charged = [c.q_mass > 0.0 for c in cells]
+        for slot in range(len(heights)):
+            zeroed = list(heights)
+            zeroed[slot] = 0.0
+            met = [slot in plan.getters[c](range(len(heights))) for c in range(len(cells))]
+            got = expected_log_wealth(cells, zeroed, plan)
+            if any(m and q for m, q in zip(met, charged)):
+                assert got == -math.inf
+            else:
+                assert got == expected_log_wealth(cells, heights, plan) > -math.inf
+
+    def test_horizon_one_factors_are_tuples(self):
+        cells = cell_tree(markov_model(0.1, 0.1), IdentityMeasure(), 1)
+        plan = node_plan(cells)
+        heights = sample_betting_family(plan, np.random.default_rng(47))
+        assert heights == [1.0]
+        assert _cell_factors(plan, heights) == [(1.0,)]
+        assert expected_log_wealth(cells, heights, plan) == 0.0
+
+    def test_empty_cell_list_scores_zero(self):
+        assert expected_log_wealth([], [], node_plan([])) == 0.0
+        assert expected_log_wealth([], []) == 0.0
+
+    def test_plan_of_other_cells_rejected(self):
+        cells = cell_tree(markov_model(0.1, 0.1), IdentityMeasure(), 3)
+        plan = node_plan(cells[:-1])
+        heights = sample_betting_family(plan, np.random.default_rng(48))
+        with pytest.raises(ValueError, match="node plan"):
+            expected_log_wealth(cells, heights, plan)
 
 
 class TestSampledFamilies:
     def test_families_are_filtration_adapted_densities(self):
         cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 4)
         rng = np.random.default_rng(43)
-        family = sample_betting_family(cells, rng)
+        plan = node_plan(cells)
+        family = _cell_factors(plan, sample_betting_family(plan, rng))
         by_history = {}
         for cell, factors in zip(cells, family):
             assert len(factors) == 4
@@ -176,6 +226,92 @@ class TestSampledFamilies:
             # one height per interval, normalized to integrate to 1
             assert set(heights) == set(range(n))
             assert math.fsum(heights.values()) / n == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_factor_loop(cells, family):
+    """The loop that tests each factor before taking its log, an earlier form
+    of expected_log_wealth kept as the bit-for-bit reference: same bits, also
+    on signed zeros, NaN and inf."""
+    terms = []
+    for cell, factors in zip(cells, family):
+        if cell.q_mass <= 0.0:
+            continue
+        logs = []
+        for f in factors:
+            if f <= 0.0:
+                return -math.inf
+            logs.append(math.log(f))
+        terms.append(cell.q_mass * math.fsum(logs))
+    return math.fsum(terms)
+
+
+def _assert_same(got, want):
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def _cell_factors(plan, heights):
+    """A rival's factors per cell, read from its flat node heights."""
+    return [get(heights) for get in plan.getters]
+
+
+def _cell_tree_before_memo(model, measure, horizon, keep_weights=False):
+    """cell_tree as it was before its per-call memo, kept verbatim as the
+    bit-for-bit reference: every node refolds and re-scores its prefixes."""
+    m = model.alphabet_size
+    volume = 1.0 / math.factorial(horizon)
+    cells: list = []
+
+    def rank_counts(scores):
+        last = scores[-1]
+        below = 0
+        upto = 0
+        for s in scores:
+            if s < last:
+                below += 1
+            if s <= last:
+                upto += 1
+        return below, upto
+
+    def walk(candidates: dict, n: int, ipath: tuple, hpath: tuple) -> None:
+        if n > horizon:
+            q_mass = math.fsum(candidates.values())
+            cells.append(
+                CellPath(
+                    intervals=ipath,
+                    volume=volume,
+                    q_mass=q_mass,
+                    bk_heights=hpath,
+                    final_weights=dict(candidates) if keep_weights else None,
+                )
+            )
+            return
+        extended: dict = {}
+        for prefix, weight in candidates.items():
+            probs = model.conditional(prefix)
+            for z in range(m):
+                wz = weight * float(probs[z])
+                if wz > 0.0:
+                    extended[prefix + (z,)] = wz
+        stats = {}
+        for prefix in extended:
+            scores = [float(s) for s in measure.scores(np.asarray(prefix, dtype=float))]
+            stats[prefix] = rank_counts(scores)
+        total = math.fsum(extended.values())
+        for interval in range(n):
+            if total > 0.0:
+                survivors = {}
+                for prefix, weight in extended.items():
+                    below, upto = stats[prefix]
+                    if below <= interval < upto:
+                        survivors[prefix] = weight / (upto - below)
+                height = n * math.fsum(survivors.values()) / total
+            else:
+                survivors = {}
+                height = 1.0
+            walk(survivors, n + 1, ipath + (interval,), hpath + (height,))
+
+    walk({(): 1.0}, 1, (), ())
+    return cells
 
 
 def _one_dirichlet_per_node(cells, rng):
@@ -196,10 +332,13 @@ def _one_dirichlet_per_node(cells, rng):
     return out
 
 
+_TREE_MODELS = (markov_model(0.1, 0.1), changepoint_model(0.5, 0.9, 0.2),
+                PointMassModel([1, 0, 1], alphabet_size=2))
+
+
 @pytest.fixture(scope="module")
 def cell_lists():
-    models = (markov_model(0.1, 0.1), changepoint_model(0.5, 0.9, 0.2),
-              PointMassModel([1, 0, 1], alphabet_size=2))
+    models = _TREE_MODELS
     lists = [[]]
     for horizon in range(1, 8):
         for model in models:
@@ -216,18 +355,40 @@ def cell_lists():
 class TestSamplerBitIdentity:
     def test_matches_one_dirichlet_per_node(self, cell_lists):
         assert any(c.q_mass == 0.0 for cells in cell_lists for c in cells)
+        plans = [node_plan(cells) for cells in cell_lists]
         for seed in range(20):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for cells in cell_lists:
-                got = sample_betting_family(cells, got_rng)
+            for cells, plan in zip(cell_lists, plans):
+                got = _cell_factors(plan, sample_betting_family(plan, got_rng))
                 assert got == _one_dirichlet_per_node(cells, want_rng)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_empty_cell_list_draws_nothing(self):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        assert sample_betting_family([], rng) == []
+        assert sample_betting_family(node_plan([]), rng) == []
         assert rng.bit_generator.state == state
+
+    def test_one_height_per_interval_of_each_node(self, cell_lists):
+        # every slot of the flat list is read by some cell, and a cell's
+        # factor at depth d is a slot of a node facing d + 1 intervals
+        for cells in cell_lists:
+            plan = node_plan(cells)
+            slots = range(int(plan.sizes.sum()))
+            read = {i for get in plan.getters for i in get(slots)}
+            assert read == set(slots)
+            owner = np.repeat(plan.sizes, plan.sizes)
+            for get in plan.getters:
+                assert [int(owner[i]) for i in get(slots)] == list(range(1, len(get(slots)) + 1))
+
+
+class TestCellTreeBitIdentity:
+    @pytest.mark.parametrize("horizon", range(1, 8))
+    def test_matches_walk_before_memo(self, horizon):
+        for model in _TREE_MODELS:
+            for measure in (IdentityMeasure(), DistanceToMeanMeasure()):
+                got = cell_tree(model, measure, horizon, keep_weights=True)
+                assert got == _cell_tree_before_memo(model, measure, horizon, keep_weights=True)
 
 
 class TestEVariableExpectation:
@@ -264,6 +425,26 @@ class TestEVariableExpectation:
 
     def test_integral_float_n_is_read(self):
         assert evariable_expectation(lambda bits: 2.0 * bits[0], 0.5, 3.0) == 1.0
+
+    def test_matches_probability_per_string(self):
+        # the form before the per-count weights: each string's probability
+        # computed from its own count of ones, bit for bit
+        def per_string(statistic, theta, n):
+            terms = []
+            for bits in itertools.product((0, 1), repeat=n):
+                ones = sum(bits)
+                prob = theta**ones * (1.0 - theta) ** (n - ones)
+                if prob > 0.0:
+                    terms.append(prob * float(statistic(bits)))
+            return math.fsum(terms)
+
+        def statistic(bits):
+            return (1.7 * sum(bits) + bits[0]) / (1.0 + bits[-1])
+
+        for n in range(1, 12):
+            for theta in [i / 10.0 for i in range(11)]:
+                got = evariable_expectation(statistic, theta, n)
+                assert got == per_string(statistic, theta, n)
 
 
 class TestEngineAgreement:
