@@ -729,7 +729,9 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
 
     The table's statistic Q(bits) / ML(bits) reads Q from one walk of the
     prefix tree (:func:`_log_q_levels`), so each prefix is folded once
-    rather than once per string that extends it.  For every grid length n
+    rather than once per string that extends it, and each grid length n
+    takes one :func:`ctmkit.oracle.evariable_expectation` call for the whole
+    theta grid, so the statistic is read once per string.  For every n
     the walk's value for the data's prefix ``data[:n]`` must equal
     ``model.sequence_log_probability(data[:n])`` exactly, or the run
     raises: a self-audit of the walk against the model's own fold.  The data
@@ -772,9 +774,8 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
             log_ml = [log_ml_sup(n, ones) for ones in range(n + 1)]
             # a string missing from the walk has probability 0 and scores 0
             values = {s: linear_from_log(q - log_ml[sum(s)]) for s, q in levels[n].items()}
-            for theta in thetas:
-                expectation = _oracle.evariable_expectation(
-                    lambda s: values.get(s, 0.0), theta, n)
+            expectations = _oracle.evariable_expectation(lambda s: values.get(s, 0.0), thetas, n)
+            for theta, expectation in zip(thetas, expectations):
                 evar_max = max(evar_max, expectation)
                 fh.write(f"{_fmt(theta)},{n},{_fmt(expectation)}\n")
     evar_ok = evar_max <= 1.0 + EVAR_TOL

@@ -27,8 +27,11 @@ nodes gets the same values it would get if recomputed there.  Rival
 families share one :class:`NodePlan` (which history node each cell meets at
 each depth, and where that node's heights sit in a rival's flat list), built
 once per cell list; a rival is then one list of node heights, and each
-height's log is taken once.  The memo and the plan only cache this module's
-own values, so the oracle still shares no code with the engine.
+height's log is taken once, and tested for a nonpositive height once.  The
+memo and the plan only cache this module's own values, so the oracle still
+shares no code with the engine.  The exchangeability e-variable check takes
+a whole grid of Bernoulli parameters at once: the 2^n strings are
+enumerated and the statistic read once per string for all of them.
 """
 
 from __future__ import annotations
@@ -204,11 +207,14 @@ def expected_log_wealth(cells, factors, plan: Optional[NodePlan] = None) -> floa
     It stays a plain, independent reference: the engine adds its log factors
     one step at a time, while here each cell's term is its q mass times the
     ``math.fsum`` of the ``math.log`` of its factors, and the result is the
-    ``fsum`` of the terms in cell order.  Both forms run the same loop; the
-    node form logs each node height once, not once per cell that meets it.
-    A zero or negative factor, on which ``math.log`` would raise, gives -inf
-    on a positive-mass cell: the same bits as testing every factor first,
-    also on NaN and inf factors.
+    ``fsum`` of the terms in cell order.  A zero or negative factor, on
+    which ``math.log`` would raise, gives -inf on a positive-mass cell: the
+    same bits as testing every factor first, also on NaN and inf factors.
+
+    The node form logs each node height once, not once per cell that meets
+    it, and tests the logged heights for a nonpositive one once: with none,
+    no cell can give -inf, and the terms are summed in one pass without the
+    per-cell test.  Otherwise it runs the per-cell loop of the other form.
     """
     if plan is None:
         if len(cells) != len(factors):
@@ -218,6 +224,11 @@ def expected_log_wealth(cells, factors, plan: Optional[NodePlan] = None) -> floa
         if len(cells) != len(plan.getters):
             raise ValueError("the node plan must be built from these cells")
         node_logs = _logs(factors)
+        if None not in node_logs:
+            # the cells the loop below skips, and no others: a NaN mass is kept
+            return math.fsum([cell.q_mass * math.fsum(get(node_logs))
+                              for cell, get in zip(cells, plan.getters)
+                              if not cell.q_mass <= 0.0])
         cell_logs = (get(node_logs) for get in plan.getters)
     terms = []
     for cell, logs in zip(cells, cell_logs):
@@ -319,21 +330,36 @@ def sample_betting_family(plan: NodePlan, rng: np.random.Generator) -> list:
     return heights[plan.grid].tolist()
 
 
-def evariable_expectation(statistic: Callable, theta: float, n: int) -> float:
-    """Exact expectation of a statistic of n coin flips under Bernoulli(theta).
+def evariable_expectation(statistic: Callable, thetas, n: int) -> list:
+    """Exact expectations of a statistic of n coin flips, one per Bernoulli
+    parameter in ``thetas``, in order.
 
-    Full enumeration of all 2^n bit strings; capped at n = 20.
+    Full enumeration of all 2^n bit strings, capped at n = 20.  The strings
+    are enumerated once for the whole grid and ``statistic`` is called once
+    per string, on every string; every θ is checked to lie in [0, 1] before
+    the first call, and an empty ``thetas`` calls nothing.  Each θ's value is
+    the ``math.fsum``, in string order, of ``prob * float(statistic(bits))``
+    over the strings with ``prob > 0.0``, so a statistic that is inf or NaN
+    only where θ gives probability 0 leaves that θ's value finite.  The pass
+    keeps one float per string, not the strings themselves.
     """
     n = integer(n, "n")
     if not 1 <= n <= MAX_ENUM_BITS:
         raise ValueError(f"full enumeration capped at n = {MAX_ENUM_BITS}, got {n}")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    # a string's probability depends only on its count of ones
-    probs = [theta**ones * (1.0 - theta) ** (n - ones) for ones in range(n + 1)]
-    terms = []
-    for bits in itertools.product((0, 1), repeat=n):
-        prob = probs[sum(bits)]
-        if prob > 0.0:
-            terms.append(prob * float(statistic(bits)))
-    return math.fsum(terms)
+    thetas = list(thetas)
+    for theta in thetas:
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    if not thetas:
+        return []
+    ones = np.fromiter(map(sum, itertools.product((0, 1), repeat=n)), dtype=np.int64, count=2**n)
+    values = np.fromiter((float(statistic(bits)) for bits in itertools.product((0, 1), repeat=n)),
+                         dtype=float, count=2**n)
+    expectations = []
+    for theta in thetas:
+        # a string's probability depends only on its count of ones; float64
+        # products round as Python's, so each term is prob * float(statistic(bits))
+        probs = np.array([theta**k * (1.0 - theta) ** (n - k) for k in range(n + 1)])[ones]
+        keep = probs > 0.0
+        expectations.append(math.fsum((probs[keep] * values[keep]).tolist()))
+    return expectations

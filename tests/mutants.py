@@ -116,6 +116,23 @@ MUTANTS = (
            "    paths = starts[draw_row[first, np.arange(horizon)]] + (iv + 1) % "
            "(np.arange(horizon) + 1)",
            ("tests/test_oracle.py",)),
+    Mutant("rival scorer takes the one-pass sum without the nonpositive test", "oracle.py",
+           "        if None not in node_logs:",
+           "        if True:",
+           ("tests/test_oracle.py",)),
+    Mutant("rival one-pass sum charges zero-mass cells", "oracle.py",
+           "                              if not cell.q_mass <= 0.0])",
+           "                              if True])",
+           ("tests/test_oracle.py",)),
+    Mutant("e-variable grid drops its zero-probability mask", "oracle.py",
+           "        keep = probs > 0.0",
+           "        keep = probs >= 0.0",
+           ("tests/test_oracle.py",)),
+    Mutant("e-variable grid weighs each theta with the previous theta's weights", "oracle.py",
+           "    for theta in thetas:",
+           "    for theta in thetas[:1] + thetas[:-1]:",
+           ("tests/test_oracle.py",),
+           occurrence=(2, 2)),
     Mutant("cell tree sums its Q mass left to right", "oracle.py",
            "            q_mass = math.fsum(candidates.values())",
            "            q_mass = sum(candidates.values())",

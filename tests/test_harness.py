@@ -705,6 +705,27 @@ class TestEVariableTableWalk:
         run_eprocess(_cfg(tmp_path, alt="markov:0.1,0.1,0.5", horizon=14))
         assert calls == list(range(1, 13))
 
+    def test_one_expectation_call_per_grid_length(self, tmp_path, monkeypatch):
+        # the whole theta grid in one call per n, and each string's statistic
+        # read once: 2 + 4 + ... + 2**11 = 4 094 reads, not 11 times as many
+        calls, reads = [], []
+        expectation = harness._oracle.evariable_expectation
+
+        def counted(statistic, thetas, n):
+            calls.append((list(thetas), n))
+
+            def read(bits):
+                reads.append(bits)
+                return statistic(bits)
+
+            return expectation(read, thetas, n)
+
+        monkeypatch.setattr(harness._oracle, "evariable_expectation", counted)
+        run_eprocess(_cfg(tmp_path, alt="markov:0.1,0.1,0.5", horizon=11))
+        thetas = [i / 10.0 for i in range(11)]
+        assert calls == [(thetas, n) for n in range(1, 12)]
+        assert len(reads) == 4094 == len(set(reads))
+
     def test_audit_raises_on_a_walk_mismatch(self, tmp_path, monkeypatch):
         walk = harness._log_q_levels
 

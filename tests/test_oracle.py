@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -161,17 +162,27 @@ class TestExpectedLogWealth:
                 assert expected_log_wealth(cells, heights, plan) == want
                 assert expected_log_wealth(cells, _cell_factors(plan, heights)) == want
 
-    def test_node_form_special_heights(self):
-        # NaN, inf and nonpositive node heights give the reference loop's bits
-        cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 4)
+    def test_node_form_special_heights(self, cell_lists):
+        # NaN and inf node heights take the one-pass sum, nonpositive ones the
+        # per-cell loop; both give the reference loop's bits, also where only
+        # zero-mass cells meet the height
+        for seed, cells in enumerate(cell_lists):
+            plan = node_plan(cells)
+            drawn = sample_betting_family(plan, np.random.default_rng(seed))
+            for special in (0.0, -0.0, -1.0, math.nan, math.inf):
+                for at in {0, len(drawn) // 2, len(drawn) - 1} & set(range(len(drawn))):
+                    heights = list(drawn)
+                    heights[at] = special
+                    got = expected_log_wealth(cells, heights, plan)
+                    _assert_same(got, _per_factor_loop(cells, _cell_factors(plan, heights)))
+
+    def test_nan_mass_cell_counts_in_both_forms(self):
+        cells = cell_tree(markov_model(0.1, 0.1), IdentityMeasure(), 3)
+        cells[2] = dataclasses.replace(cells[2], q_mass=math.nan)
         plan = node_plan(cells)
-        drawn = sample_betting_family(plan, np.random.default_rng(45))
-        for special in (0.0, -0.0, -1.0, math.nan, math.inf):
-            for at in (0, len(drawn) // 2, len(drawn) - 1):
-                heights = list(drawn)
-                heights[at] = special
-                got = expected_log_wealth(cells, heights, plan)
-                _assert_same(got, _per_factor_loop(cells, _cell_factors(plan, heights)))
+        heights = sample_betting_family(plan, np.random.default_rng(49))
+        assert math.isnan(expected_log_wealth(cells, heights, plan))
+        assert math.isnan(_per_factor_loop(cells, _cell_factors(plan, heights)))
 
     def test_zero_node_height_is_minus_inf_only_on_a_charged_cell(self):
         # the point mass 1, 0 charges one of the two horizon-2 cells
@@ -393,13 +404,11 @@ class TestCellTreeBitIdentity:
 
 class TestEVariableExpectation:
     def test_constant_statistic(self):
-        for theta in (0.0, 0.3, 1.0):
-            assert evariable_expectation(lambda bits: 1.0, theta, 6) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        got = evariable_expectation(lambda bits: 1.0, [0.0, 0.3, 1.0], 6)
+        assert got == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
     def test_fair_bet_on_first_bit(self):
-        got = evariable_expectation(lambda bits: 2.0 * bits[0], 0.5, 4)
+        [got] = evariable_expectation(lambda bits: 2.0 * bits[0], [0.5], 4)
         assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_eprocess_statistic_is_evariable(self):
@@ -408,43 +417,93 @@ class TestEVariableExpectation:
         def statistic(bits):
             return run_eprocess(bits, model)[-1].value
 
-        got = evariable_expectation(statistic, 0.5, 10)
+        [got] = evariable_expectation(statistic, [0.5], 10)
         assert got <= 1.0 + 1e-12
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            evariable_expectation(lambda bits: 1.0, 0.5, 21)
+            evariable_expectation(lambda bits: 1.0, [0.5], 21)
         with pytest.raises(ValueError):
-            evariable_expectation(lambda bits: 1.0, 1.5, 3)
+            evariable_expectation(lambda bits: 1.0, [1.5], 3)
 
     @pytest.mark.parametrize("n", [2.5, True])
     def test_n_is_not_truncated(self, n):
         shown = re.escape(repr(n))
         with pytest.raises(ValueError, match=rf"^n must be an integer, got {shown}$"):
-            evariable_expectation(lambda bits: 1.0, 0.5, n)
+            evariable_expectation(lambda bits: 1.0, [0.5], n)
 
     def test_integral_float_n_is_read(self):
-        assert evariable_expectation(lambda bits: 2.0 * bits[0], 0.5, 3.0) == 1.0
+        assert evariable_expectation(lambda bits: 2.0 * bits[0], [0.5], 3.0) == [1.0]
 
     def test_matches_probability_per_string(self):
-        # the form before the per-count weights: each string's probability
-        # computed from its own count of ones, bit for bit
-        def per_string(statistic, theta, n):
-            terms = []
-            for bits in itertools.product((0, 1), repeat=n):
-                ones = sum(bits)
-                prob = theta**ones * (1.0 - theta) ** (n - ones)
-                if prob > 0.0:
-                    terms.append(prob * float(statistic(bits)))
-            return math.fsum(terms)
-
+        # the form before the grid: one enumeration per theta, each string's
+        # probability computed from its own count of ones, bit for bit
         def statistic(bits):
             return (1.7 * sum(bits) + bits[0]) / (1.0 + bits[-1])
 
+        thetas = [i / 10.0 for i in range(11)]
         for n in range(1, 12):
-            for theta in [i / 10.0 for i in range(11)]:
-                got = evariable_expectation(statistic, theta, n)
-                assert got == per_string(statistic, theta, n)
+            got = evariable_expectation(statistic, thetas, n)
+            assert got == [_per_string(statistic, theta, n) for theta in thetas]
+
+    def test_zero_probability_strings_are_masked(self):
+        # at theta 0 and 1 only one string has probability > 0; the statistic
+        # is inf or NaN on every other string, and neither reaches the sum
+        def statistic(bits):
+            if 0 < sum(bits) < len(bits):
+                return math.inf if bits[0] else math.nan
+            return 3.0 if bits[0] else 0.25
+
+        for n in (1, 2, 5):
+            got = evariable_expectation(statistic, [0.0, 1.0, 0], n)
+            assert got == [0.25, 3.0, 0.25]
+            assert got == [_per_string(statistic, theta, n) for theta in (0.0, 1.0, 0)]
+
+    def test_repeated_and_unordered_thetas(self):
+        def statistic(bits):
+            return math.exp(sum(bits) - 1.3 * bits[-1])
+
+        thetas = [0.7, 0.2, 0.7, 1.0, 0.0, 0.2, 0.45]
+        got = evariable_expectation(statistic, thetas, 7)
+        assert got == [_per_string(statistic, theta, 7) for theta in thetas]
+        assert got[0] == got[2] and got[1] == got[5]
+
+    def test_one_statistic_call_per_string(self):
+        calls = []
+
+        def statistic(bits):
+            calls.append(bits)
+            return 1.0
+
+        evariable_expectation(statistic, [i / 10.0 for i in range(11)], 6)
+        assert sorted(calls) == list(itertools.product((0, 1), repeat=6))
+
+    def test_empty_theta_list_calls_nothing(self):
+        def statistic(bits):
+            raise AssertionError("statistic called")
+
+        assert evariable_expectation(statistic, [], 5) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
+    def test_bad_theta_refused_before_any_call(self, bad):
+        def statistic(bits):
+            raise AssertionError("statistic called")
+
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\]"):
+            evariable_expectation(statistic, [0.5, bad], 4)
+
+
+def _per_string(statistic, theta, n):
+    """evariable_expectation for one theta as it was before the grid form,
+    kept as the bit-for-bit reference: each string's probability computed
+    from its own count of ones."""
+    terms = []
+    for bits in itertools.product((0, 1), repeat=n):
+        ones = sum(bits)
+        prob = theta**ones * (1.0 - theta) ** (n - ones)
+        if prob > 0.0:
+            terms.append(prob * float(statistic(bits)))
+    return math.fsum(terms)
 
 
 class TestEngineAgreement:
