@@ -41,21 +41,25 @@ the realized candidate; ``p * n`` is not exact and used to prune it.
 
 The collapsed step runs on arrays of a few dozen floats, where each numpy
 call costs more than its arithmetic, so it keeps the call count low without
-changing a bit of its output.  Its rank tables depend only on the step n and
+changing a bit of its output.  Its tie counts depend only on the step n and
 are read from ramps built once per power-of-two size and shared by every
-bettor, so they hold O(largest step) numbers rather than a table per n: a
-step fills only the ``n_upper`` and tie-count tables.  Survivors are two
-contiguous row ranges, one per newest symbol, so settling slices instead of
-masking.  Some expressions are fixed because any rewrite changes the bits:
+bettor, so they hold O(largest step) numbers rather than a table per n.  The
+rank counts need no table: each grid cell's height has a closed form in the
+per-(ones count, symbol) masses.  Survivors are two contiguous row ranges,
+one per newest symbol, so settling slices instead of masking.  Some
+expressions are fixed because any rewrite changes the bits:
 the two matmuls against ``T[:, z, :]`` (OpenBLAS fuses multiply-adds, an
 elementwise sum over hidden states or ``einsum`` does not, and neither
 does one matmul against ``T.reshape(H, 2 * H)``), the interleaved
 ``(n+1, 2)`` layout of the per-(ones count, symbol) masses and its
 ``sum()`` (pairwise summation order), their sum over hidden states in
 numpy's reduction order (left to right below 8 terms, pairwise from 8 on),
-and the grid heights as ``bincount(n_star) - bincount(n_upper)`` then
-``cumsum``.  ``tests/test_bayes_kelly.py`` keeps the step as it was before
-these tables and checks every emitted bit against it.
+and the grid heights as the explicit engine's ``bincount(n_star) -
+bincount(n_upper)`` then ``cumsum`` would add them: cell 0 as the newest-0
+masses summed left to right (``cumsum``, not the pairwise ``sum()``) plus
+the all-ones newest 1, cell i > 0 as one subtraction, then one ``cumsum``.
+``tests/test_bayes_kelly.py`` keeps the step as it was before these tables
+and checks every emitted bit against it.
 """
 
 from __future__ import annotations
@@ -160,21 +164,16 @@ def _grid_heights(n: int, v, n_star, n_upper) -> np.ndarray:
 
 @functools.cache
 def _rank_ramps(size: int):
-    """Read-only ramps the collapsed step reads its rank tables from, for
-    every step n < size: rows (0, size - i) and (i, 0) for i = 0..size, and
-    max(j, 1) and its reciprocal as floats.  Sizes are powers of two, so the
-    cache holds O(largest step) floats."""
-    j = np.arange(size + 1)
-    star_rows = np.zeros((size + 1, 2), dtype=j.dtype)
-    star_rows[:, 1] = j[::-1]
-    count_rows = np.zeros((size + 1, 2), dtype=j.dtype)
-    count_rows[:, 0] = j
-    ksafe = j.astype(float)
+    """Read-only ramps the collapsed step reads its tie counts from, for
+    every step n < size: max(j, 1) for j = 0..size and its reciprocal, as
+    floats.  Sizes are powers of two, so the cache holds O(largest step)
+    floats."""
+    ksafe = np.arange(size + 1, dtype=float)
     ksafe[0] = 1.0
     inv_k = 1.0 / ksafe
-    for table in (star_rows, count_rows, ksafe, inv_k):
+    for table in (ksafe, inv_k):
         table.setflags(write=False)
-    return star_rows, count_rows, ksafe, inv_k
+    return ksafe, inv_k
 
 
 class _BayesKelly(BettingMartingale):
@@ -272,10 +271,10 @@ class CollapsedBayesKellyBettor(_BayesKelly):
     against 2**step for the explicit engine; the two produce identical bets.
 
     At step n a window with c ones ending in symbol z has ``n_star`` (0, n-c),
-    ``n_upper`` (n-c, n) and tie count (n-c, c) for z = (0, 1).  These tables
-    are views of, or one subtraction from, ramps over 0..size, where size is
-    the power of two above the step (``_rank_ramps``); see the module
-    docstring for the expressions that stay as they are for bit-exactness.
+    ``n_upper`` (n-c, n) and tie count (n-c, c) for z = (0, 1).  The tie
+    counts are views of ramps over 0..size, where size is the power of two
+    above the step (``_rank_ramps``); see the module docstring for the
+    expressions that stay as they are for bit-exactness.
     """
 
     def __init__(self, model: HiddenStateModel, measure: ConformityMeasure):
@@ -297,7 +296,7 @@ class CollapsedBayesKellyBettor(_BayesKelly):
         if n > self._size:
             self._size = 1 << n.bit_length()
             self._ramps = _rank_ramps(self._size)
-        star_rows, count_rows, ksafe_ramp, _ = self._ramps
+        ksafe_ramp = self._ramps[0]
         W = self._W  # (n, H): ones counts 0..n-1
         H = W.shape[1]
         ext = np.zeros((n + 1, 2, H))
@@ -313,8 +312,6 @@ class CollapsedBayesKellyBettor(_BayesKelly):
         else:
             g = ext.sum(axis=2)
         total = float(g.sum())
-        n_star = star_rows[self._size - n:]
-        n_upper = n - count_rows[: n + 1]
         # v = g * n / (k * total), with the tie counts k floored at 1: k is
         # 0 only where g is, and those entries come out +0
         den = np.empty((n + 1, 2))
@@ -323,12 +320,18 @@ class CollapsedBayesKellyBettor(_BayesKelly):
         den *= total
         v = g * n
         v /= den
-        heights = _grid_heights(n, v.ravel(), n_star.ravel(), n_upper.ravel())
-        return heights, ext
+        # _grid_heights in closed form: cell 0 gathers every newest 0 and the
+        # all-ones newest 1, added in row order as bincount adds them; cell
+        # i > 0 gains the newest 1 and loses the newest 0 with n - i ones
+        # (the newest 0 with n ones is +0, and cell n is never read)
+        diff = np.empty(n)
+        diff[0] = v[:, 0].cumsum()[n] + v[n, 1]
+        np.subtract(v[n - 1 : 0 : -1, 1], v[n - 1 : 0 : -1, 0], out=diff[1:])
+        return diff.cumsum(), ext
 
     def _condition(self, below, above, ext) -> float:
         n = self._steps + 1
-        inv_k = self._ramps[3]
+        inv_k = self._ramps[1]
         # Newest 0 survives for n_upper = n - c >= above, so in rows
         # c < split; newest 1 for n_star = n - c <= below, so in rows from
         # n - below.  As above is below or below + 1, that is rows from split

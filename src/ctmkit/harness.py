@@ -29,7 +29,7 @@ from .bayes_kelly import bayes_kelly_bettor
 from .betting import ConstantBettor, ShrunkAlternativeBettor, linear_from_log
 from .conformal import DistanceToMeanMeasure, IdentityMeasure, ctm_run, read_observation_stream
 from .eprocess import example_distinct_report, log_ml_sup
-from .models import (TableModel, changepoint_model, iid_model, integer, markov_model,
+from .models import (TableModel, _StateMemo, changepoint_model, iid_model, integer, markov_model,
                      PointMassModel, symbol_list)
 
 CSV_HEADER = "rep,n,z,tau,n_star,n_upper,p,factor,wealth,log10_wealth"
@@ -698,28 +698,38 @@ def _log_q_levels(model, depth: int) -> list:
 
     Entry k maps each length-k bit tuple of positive probability to its log
     probability; entry 0 is ``{(): 0.0}``.  One depth-first walk of the
-    prefix tree with ``start``/``advance``/``probs`` computes each node once:
-    a child's total is its parent's plus ``math.log(p)``, the fold
-    :meth:`AlternativeModel.prefix_log_probabilities` makes, so every entry
-    equals ``sequence_log_probability`` bit for bit.  A string through a
+    prefix tree: a child's total is its parent's plus ``math.log(p)``, the
+    fold :meth:`AlternativeModel.prefix_log_probabilities` makes, so every
+    entry equals ``sequence_log_probability`` bit for bit.  Laws and states
+    come from a ``models._StateMemo``: a first-order Markov chain's three
+    states serve all 2 047 nodes of depth 11, while a changepoint posterior,
+    new at every node, costs what it did.  A string through a
     zero-probability symbol (log probability -inf) has no entry, and the
     walk never advances past one.
     """
     levels = [{(): 0.0}] + [{} for _ in range(depth)]
+    memo = _StateMemo(model, _log_steps)
 
-    def walk(state, prefix: tuple, total: float) -> None:
-        probs = model.probs(state)
-        for z in (0, 1):
-            p = float(probs[z])
-            if p <= 0.0:
-                continue
-            child, child_total = prefix + (z,), total + math.log(p)
+    def walk(node, prefix: tuple, total: float) -> None:
+        for z, log_p in node[0]:
+            child, child_total = prefix + (z,), total + log_p
             levels[len(child)][child] = child_total
             if len(child) < depth:
-                walk(model.advance(state, z), child, child_total)
+                walk(memo.child(node, z), child, child_total)
 
-    walk(model.start(), (), 0.0)
+    walk(memo.node(model.start()), (), 0.0)
     return levels
+
+
+def _log_steps(probs) -> list:
+    """``(z, log p)`` for each bit z of positive probability p under ``probs``."""
+    p0, p1 = float(probs[0]), float(probs[1])
+    steps = []
+    if not p0 <= 0.0:
+        steps.append((0, math.log(p0)))
+    if not p1 <= 0.0:
+        steps.append((1, math.log(p1)))
+    return steps
 
 
 def run_eprocess(cfg: ExperimentConfig) -> dict:
@@ -734,7 +744,8 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
     theta grid, so the statistic is read once per string.  For every n
     the walk's value for the data's prefix ``data[:n]`` must equal
     ``model.sequence_log_probability(data[:n])`` exactly, or the run
-    raises: a self-audit of the walk against the model's own fold.  The data
+    raises: a self-audit of the memoised walk against the model's plain
+    fold, one ``probs`` and one ``advance`` per symbol.  The data
     and the alternative are checked by :func:`ctmkit.eprocess.run_eprocess`,
     before ``--out`` is made, and a refusal names the field at fault.
     """

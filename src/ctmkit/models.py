@@ -6,6 +6,9 @@ before any symbol, ``advance(state, z)`` the state after one more symbol,
 and ``probs(state)`` the next-symbol law.  Models are horizon-free: the run
 length is a runtime parameter, never a model parameter.  Log probabilities
 are folded once, by ``prefix_log_probabilities``, which the e-process reads.
+Walks that meet a forward state again (``sample`` and the e-variable
+table's prefix-tree walk) compute each distinct state's law and steps once
+per call, through a ``_StateMemo``, and get the plain fold's bits.
 
 The step also comes batched, ``advance_batch(states, symbols)`` and
 ``probs_batch(states)``, which loop over the scalar methods by default.  The
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from pathlib import Path
 from typing import Sequence
 
@@ -167,19 +171,77 @@ class AlternativeModel(ABC):
         return logs[-1] if logs else 0.0
 
     def sample(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw one sequence of length ``horizon``."""
+        """Draw one sequence of length ``horizon``: per step one ``rng.random()``
+        draw u, and the first symbol whose cumulative probability exceeds u
+        (the last symbol of positive probability when none does).  Laws and
+        states come from a :class:`_StateMemo`, so a first-order Markov
+        chain's step is a few list reads, while a changepoint posterior, new
+        at nearly every step, still pays the forward algorithm."""
         out = np.empty(horizon, dtype=np.int64)
-        state = self.start()
+        memo = _StateMemo(self, _cumulative)
+        node = memo.node(self.start())
+        draws = []
         for n in range(horizon):
             if n:
-                state = self.advance(state, z)
-            probs = np.asarray(self.probs(state), dtype=float)
-            cum = np.cumsum(probs)
-            z = int(np.searchsorted(cum, rng.random(), side="right"))
+                node = memo.child(node, z)
+            cum, probs = node[0]
+            z = bisect_right(cum, rng.random())
             if z == self.alphabet_size:  # past a cumulative sum ending below 1
                 z = int(np.flatnonzero(probs > 0.0)[-1])
-            out[n] = z
+            draws.append(z)
+        out[:] = draws
         return out
+
+
+def _cumulative(probs):
+    """A law as the sampler reads it: its cumulative sum as a list, which
+    ``bisect_right`` searches as ``np.searchsorted(side="right")`` does, and
+    the law itself."""
+    probs = np.asarray(probs, dtype=float)
+    return np.cumsum(probs).tolist(), probs
+
+
+class _StateMemo:
+    """One model's forward step within one call, computed once per distinct state.
+
+    Each state gets a node, the list ``[read(probs(state)), state, child_0,
+    ..., child_{m-1}]``; slot ``2 + z`` holds the node after symbol z once
+    :meth:`child` has made it, so a walk that meets a state again follows
+    its slots.  States are told apart by key: an ndarray by its bytes (a
+    model's array states share one dtype and shape, as every
+    :class:`HiddenStateModel`'s do), an int by its value; any other state
+    gets a fresh node.  ``probs`` and ``advance`` are deterministic, so a
+    hit gives the very floats a recomputation would.  The memo lives only as
+    long as the call that made it: one node per state that call meets.
+    """
+
+    __slots__ = ("_model", "_read", "_nodes", "_no_children")
+
+    def __init__(self, model: AlternativeModel, read):
+        self._model = model
+        self._read = read
+        self._nodes = {}
+        self._no_children = [None] * model.alphabet_size
+
+    def node(self, state) -> list:
+        """The node of ``state``, made on the first meeting."""
+        if isinstance(state, np.ndarray):
+            key = state.tobytes()
+        else:
+            key = state if type(state) is int else None
+        node = self._nodes.get(key)  # None is never a key
+        if node is None:
+            node = [self._read(self._model.probs(state)), state, *self._no_children]
+            if key is not None:
+                self._nodes[key] = node
+        return node
+
+    def child(self, node: list, z: int) -> list:
+        """The node after symbol ``z`` from ``node``, advanced once and kept in its slot."""
+        child = node[2 + z]
+        if child is None:
+            child = node[2 + z] = self.node(self._model.advance(node[1], z))
+        return child
 
 
 class HiddenStateModel(AlternativeModel):
@@ -211,20 +273,36 @@ class HiddenStateModel(AlternativeModel):
         self.transition = transition
         self._emit = transition.sum(axis=2)  # _emit[h, z]: P(emit z | hidden state h)
         self.description = description or "hidden-state model"
+        self._take_steps()
+
+    def _take_steps(self):
+        # _steps[z] is the view transition[:, z, :], made once: advance
+        # multiplies by this very operand (a copy's layout could round
+        # differently), so it is rebuilt after unpickling, never pickled
+        self._steps = [self.transition[:, z, :] for z in range(self.alphabet_size)]
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_steps"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._take_steps()
 
     def start(self) -> np.ndarray:
         return self.initial
 
+    # np.add.reduce is the reduction ndarray.sum runs, without its Python
+    # wrapper: the same bits, at a fifth less cost per scalar step
     def advance(self, state: np.ndarray, z: int) -> np.ndarray:
-        state = state @ self.transition[:, int(z), :]
-        total = float(state.sum())
+        state = state @ self._steps[int(z)]
+        total = float(np.add.reduce(state))
         if total <= 0.0:
             raise ValueError("prefix has probability zero under this model")
         return state / total
 
     def probs(self, state: np.ndarray) -> np.ndarray:
         pp = state @ self._emit
-        return pp / pp.sum()
+        return pp / np.add.reduce(pp)
 
     # The batched step is advance/probs on a (rows, H) array, exact up to
     # rounding: S.sum(axis=1) rounds as state.sum() does (einsum or sums over

@@ -133,6 +133,22 @@ MUTANTS = (
            "    for theta in thetas[:1] + thetas[:-1]:",
            ("tests/test_oracle.py",),
            occurrence=(2, 2)),
+    Mutant("state memo keys a state by its first entry only", "models.py",
+           "            key = state.tobytes()",
+           "            key = state[:1].tobytes()",
+           ("tests/test_models.py",)),
+    Mutant("state memo shares one child slot between both symbols", "models.py",
+           "        child = node[2 + z]",
+           "        child = node[2]",
+           ("tests/test_models.py",)),
+    Mutant("prefix-tree walk reads the parent's law at the child", "harness.py",
+           "                walk(memo.child(node, z), child, child_total)",
+           "                walk(node, child, child_total)",
+           ("tests/test_harness.py",)),
+    Mutant("collapsed grid cell 0 sums the newest-0 masses pairwise", "bayes_kelly.py",
+           "        diff[0] = v[:, 0].cumsum()[n] + v[n, 1]",
+           "        diff[0] = v[:, 0].sum() + v[n, 1]",
+           ("tests/test_bayes_kelly.py",)),
     Mutant("cell tree sums its Q mass left to right", "oracle.py",
            "            q_mass = math.fsum(candidates.values())",
            "            q_mass = sum(candidates.values())",

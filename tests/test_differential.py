@@ -21,7 +21,6 @@ from ctmkit import (
     CollapsedBayesKellyBettor,
     ConstantBettor,
     DistanceToMeanMeasure,
-    HiddenStateModel,
     HypothesisSet,
     IdentityMeasure,
     PointMassModel,
@@ -34,7 +33,7 @@ from ctmkit import (
 )
 from ctmkit.harness import substream
 
-from helpers import random_table
+from helpers import random_hidden_state, random_table
 
 MEASURES = {"identity": IdentityMeasure, "distmean": DistanceToMeanMeasure}
 
@@ -52,19 +51,6 @@ class _SuccessionModel(AlternativeModel):
     def probs(self, state):
         counts = np.bincount(np.asarray(state, dtype=np.int64), minlength=self.alphabet_size)
         return (counts + 1.0) / (len(state) + self.alphabet_size)
-
-
-def _random_hidden_state(rng, hidden, m):
-    """Random hidden-state model with structural zeros: about a third of the
-    (symbol, next state) entries of each row and of the initial law are 0."""
-    transition = rng.standard_exponential((hidden, m * hidden))
-    transition *= rng.random((hidden, m * hidden)) > 1 / 3
-    transition[np.arange(hidden), rng.integers(0, m * hidden, hidden)] += 1.0
-    transition /= transition.sum(axis=1, keepdims=True)
-    initial = rng.standard_exponential(hidden) * (rng.random(hidden) > 1 / 3)
-    initial[rng.integers(hidden)] += 1.0
-    initial /= initial.sum()
-    return HiddenStateModel(initial, transition.reshape(hidden, m, hidden))
 
 
 def _folded_extend(hset, model):
@@ -159,7 +145,7 @@ class TestCarriedStates:
     def test_random_hidden_state_models(self, hidden, m, measure, monkeypatch):
         rng = np.random.default_rng(1000 * hidden + 10 * m + len(measure))
         for seed in range(3):
-            model = _random_hidden_state(rng, hidden, m)
+            model = random_hidden_state(rng, hidden, m)
             _check(model, measure, seed, 9 if m == 2 else 6, 1e-12, monkeypatch)
 
     @pytest.mark.parametrize("name", ["changepoint", "table_binary", "succession"])

@@ -48,7 +48,7 @@ from ctmkit.harness import (
     write_json,
 )
 
-from helpers import random_table
+from helpers import random_hidden_state, random_table
 
 
 def _cfg(tmp_path, **overrides):
@@ -648,6 +648,49 @@ def _model_id(model):
     return repr(model) if isinstance(model, HiddenStateModel) else type(model).__name__
 
 
+# seeded random binary hidden-state models with structural zeros, H = 1..4
+RANDOM_WALK_MODELS = [random_hidden_state(np.random.default_rng([hidden, seed]), hidden, 2)
+                      for hidden in (1, 2, 3, 4) for seed in (0, 1)]
+
+
+def _frozen_log_q_levels(model, depth):
+    """``harness._log_q_levels`` before its state memo: a ``probs`` at every
+    node and an ``advance`` to every child walked."""
+    levels = [{(): 0.0}] + [{} for _ in range(depth)]
+
+    def walk(state, prefix, total):
+        probs = model.probs(state)
+        for z in (0, 1):
+            p = float(probs[z])
+            if p <= 0.0:
+                continue
+            child, child_total = prefix + (z,), total + math.log(p)
+            levels[len(child)][child] = child_total
+            if len(child) < depth:
+                walk(model.advance(state, z), child, child_total)
+
+    walk(model.start(), (), 0.0)
+    return levels
+
+
+def _spy_steps(model):
+    """Record the key of every state ``model.probs`` reads, and of every
+    (state, symbol) ``model.advance`` steps from."""
+    reads, steps = [], []
+    probs, advance = model.probs, model.advance
+
+    def read(state):
+        reads.append(state.tobytes())
+        return probs(state)
+
+    def step(state, z):
+        steps.append((state.tobytes(), z))
+        return advance(state, z)
+
+    model.probs, model.advance = read, step
+    return reads, steps
+
+
 # sha256 of eprocess_trajectory.csv, eprocess.json and evar_table.csv, in that
 # order, as written when the e-variable table called sequence_log_probability
 # once per bit string (seed 1, null bernoulli:0.5)
@@ -682,6 +725,30 @@ class TestEVariableTableWalk:
             assert [level.get(bits, -math.inf) for bits in strings] == want
             assert set(level) <= set(strings)
             assert -math.inf not in level.values()
+
+    @pytest.mark.parametrize("model", WALK_MODELS + RANDOM_WALK_MODELS, ids=_model_id)
+    def test_levels_equal_the_frozen_walk(self, model):
+        for depth in (1, 2, 11):
+            levels = harness._log_q_levels(model, depth)
+            frozen = _frozen_log_q_levels(model, depth)
+            assert levels == frozen
+            assert [list(level) for level in levels] == [list(level) for level in frozen]
+
+    def test_one_step_per_distinct_state(self):
+        # the three forward states of markov:0.1,0.1,0.5 serve all 2 047
+        # nodes of depth 11: one probs per state, one advance per (state, bit)
+        model = markov_model(0.1, 0.1, 0.5)
+        reads, steps = _spy_steps(model)
+        harness._log_q_levels(model, 11)
+        assert len(reads) == len(set(reads)) == 3
+        assert len(steps) == len(set(steps)) == 6
+        # a changepoint posterior may be new at every node: depths 0-10 are
+        # read, and every node but the root is advanced to, at most once each
+        model = changepoint_model(0.5, 0.9, 0.2)
+        reads, steps = _spy_steps(model)
+        harness._log_q_levels(model, 11)
+        assert len(reads) == len(set(reads)) <= 2047
+        assert len(steps) == len(set(steps)) <= 2046
 
     @pytest.mark.parametrize("alt,horizon", list(EPROCESS_DIGESTS))
     def test_outputs_unchanged(self, tmp_path, alt, horizon):

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -24,7 +25,7 @@ from ctmkit import (
     run_eprocess,
 )
 
-from helpers import random_table
+from helpers import random_hidden_state, random_table
 
 
 def _conditional_law(model, prefix):
@@ -609,6 +610,95 @@ class TestForwardStateBitIdentity:
                 assert got == _ref_eprocess(model, bits)
 
 
+def _frozen_sample(model, horizon, rng):
+    """``AlternativeModel.sample`` before its state memo: one ``probs``, a
+    ``cumsum`` and a ``searchsorted`` at every step, and one ``advance``
+    past every symbol but the last."""
+    out = np.empty(horizon, dtype=np.int64)
+    state = model.start()
+    for n in range(horizon):
+        if n:
+            state = model.advance(state, z)
+        probs = np.asarray(model.probs(state), dtype=float)
+        cum = np.cumsum(probs)
+        z = int(np.searchsorted(cum, rng.random(), side="right"))
+        if z == model.alphabet_size:
+            z = int(np.flatnonzero(probs > 0.0)[-1])
+        out[n] = z
+    return out
+
+
+def _frozen_step(model, state, z):
+    """``HiddenStateModel``'s scalar step as it was computed before: the law
+    from the state, and the state after ``z``, with ``ndarray.sum`` and a
+    fresh view of the transition tensor."""
+    pp = state @ model._emit
+    after = state @ model.transition[:, int(z), :]
+    return pp / pp.sum(), after / float(after.sum())
+
+
+# (H, m, seed) for seeded random hidden-state models with structural zeros
+RANDOM_HIDDEN = [(hidden, m, seed) for hidden in (1, 2, 3, 4) for m in (2, 3) for seed in (0, 1)]
+
+
+class TestSamplerMemo:
+    """The memoised sampler draws what the plain fold drew, bit for bit, and
+    leaves the generator where the plain fold left it."""
+
+    @staticmethod
+    def _check(model, horizon, seed):
+        rng, frozen_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = model.sample(horizon, rng)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _frozen_sample(model, horizon, frozen_rng))
+        assert rng.bit_generator.state == frozen_rng.bit_generator.state
+
+    @pytest.mark.parametrize("model,depth", MODELS, ids=_ids(MODELS))
+    def test_shipped_models(self, model, depth):
+        for horizon, seed in ((0, 0), (1, 1), (60, 2), (500, 3)):
+            self._check(model, horizon, seed)
+
+    @pytest.mark.parametrize("hidden,m,seed", RANDOM_HIDDEN)
+    def test_random_hidden_state_models(self, hidden, m, seed):
+        rng = np.random.default_rng([hidden, m, seed])
+        self._check(random_hidden_state(rng, hidden, m), 300, seed)
+
+    @pytest.mark.parametrize("m,depth", [(2, 1), (2, 4), (3, 2)])
+    def test_tables_and_point_masses(self, m, depth):
+        rng = np.random.default_rng([m, depth])
+        self._check(random_table(m, depth, rng), 200, depth)
+        self._check(PointMassModel(rng.integers(0, m, 3 * depth).tolist(), alphabet_size=m),
+                    200, depth)
+
+    def test_markov_reads_each_state_once(self):
+        # the three forward states of a first-order chain serve 1 000 draws
+        model = markov_model(0.1, 0.1)
+        reads, probs = [], model.probs
+
+        def counted(state):
+            reads.append(state.tobytes())
+            return probs(state)
+
+        model.probs = counted
+        model.sample(1000, np.random.default_rng(0))
+        assert len(reads) == len(set(reads)) == 3
+
+    @pytest.mark.parametrize("hidden,m,seed", RANDOM_HIDDEN)
+    def test_scalar_step_is_frozen(self, hidden, m, seed):
+        # advance and probs give the bits of their former form, on the model
+        # and on a pickled copy, whose step views are taken afresh
+        rng = np.random.default_rng([hidden, m, seed, 1])
+        model = random_hidden_state(rng, hidden, m)
+        for copy in (model, pickle.loads(pickle.dumps(model))):
+            assert "_steps" not in copy.__getstate__()
+            state = copy.start()
+            for z in model.sample(200, rng).tolist():
+                law, after = _frozen_step(model, state, z)
+                assert np.array_equal(copy.probs(state), law)
+                state = copy.advance(state, z)
+                assert np.array_equal(state, after)
+
+
 def _count_advances(model):
     """Symbols of the forward steps ``model`` takes: scalar advances plus the
     rows of each batched step.  The default ``advance_batch`` steps through
@@ -635,6 +725,13 @@ def _count_advances(model):
     return calls
 
 
+def _memo_key(state):
+    """The key ``models._StateMemo`` tells ``state`` apart by, None for none."""
+    if isinstance(state, np.ndarray):
+        return state.tobytes()
+    return state if type(state) is int else None
+
+
 CONTRACT = {
     "hidden_state": lambda: changepoint_model(0.5, 0.9, 0.2),
     "table": lambda: random_table(2, depth=3, rng=np.random.default_rng(11)),
@@ -650,12 +747,23 @@ class TestModelContract:
     prefix fold's, bit for bit."""
 
     @pytest.mark.parametrize("name", CONTRACT)
-    def test_sample_advances_once_per_symbol(self, name):
+    def test_sample_advances_at_most_once_per_symbol(self, name):
+        # the sampler advances past a symbol only the first time its path
+        # leaves a state by it: states are told apart by the memo's key, and
+        # a state without one (the custom model's tuple) is always new
         for horizon in (1, 2, 50, 400):
+            out = CONTRACT[name]().sample(horizon, np.random.default_rng(horizon)).tolist()
             model = CONTRACT[name]()
+            want, seen, state = [], set(), model.start()
+            for z in out[:-1]:
+                key = _memo_key(state)
+                if key is None or (key, z) not in seen:
+                    want.append(z)
+                    seen.add((key, z))
+                state = model.advance(state, z)
             calls = _count_advances(model)
-            out = model.sample(horizon, np.random.default_rng(horizon))
-            assert calls == out[:-1].tolist()
+            assert model.sample(horizon, np.random.default_rng(horizon)).tolist() == out
+            assert calls == want
 
     @pytest.mark.parametrize("name", CONTRACT)
     def test_sequence_log_probability_advances_once_per_symbol(self, name):
@@ -719,9 +827,11 @@ class TestModelContract:
         model.advance = recorded
         assert model.sample(n, np.random.default_rng(0)).tolist() == [1, 0, 1, 1] + [0] * (n - 4)
         # its state is the int position in the sequence, capped at its last
-        # symbol, one advance per symbol
-        assert states == [min(k, 4) for k in range(1, n)]
+        # symbol, and the sampler advances once per (position, symbol) met
+        assert states == [1, 2, 3, 4, 4]
         assert {type(state) for state in states} == {int}
+        assert model.sequence_log_probability([1, 0, 1, 1] + [0] * (n - 4)) == 0.0
+        assert states == [1, 2, 3, 4, 4] + [min(k, 4) for k in range(1, n)]
 
 
 SHIPPED_MODELS = [cls for cls in vars(models).values()
