@@ -29,7 +29,7 @@ from .bayes_kelly import bayes_kelly_bettor
 from .betting import ConstantBettor, ShrunkAlternativeBettor, linear_from_log
 from .conformal import DistanceToMeanMeasure, IdentityMeasure, ctm_run, read_observation_stream
 from .eprocess import example_distinct_report, log_ml_sup
-from .models import (TableModel, _StateMemo, changepoint_model, iid_model, integer, markov_model,
+from .models import (TableModel, changepoint_model, check_laws, iid_model, integer, markov_model,
                      PointMassModel, symbol_list)
 
 CSV_HEADER = "rep,n,z,tau,n_star,n_upper,p,factor,wealth,log10_wealth"
@@ -229,8 +229,12 @@ def _parse_null_spec(spec: str):
         return partial(_sample_bernoulli, args[0]), int(args[0] > 0.0)
     if kind == "categorical":
         probs = np.asarray(_floats(rest, "null"), dtype=float)
-        if probs.size < 2 or np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+        if probs.size < 2:
             raise ConfigError(f"null: categorical needs probabilities summing to 1, got {rest!r}")
+        try:
+            check_laws("categorical", probs[None, :])
+        except ValueError as err:
+            raise ConfigError(f"null: {err}") from err
         cum = np.cumsum(probs)
         top = int(np.flatnonzero(probs > 0.0)[-1])
         # symbols grow with the uniform draw, so the largest comes from the
@@ -693,61 +697,22 @@ def run_optimality(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _log_q_levels(model, depth: int) -> list:
-    """Natural log probability of every bit string of length at most ``depth >= 1``.
-
-    Entry k maps each length-k bit tuple of positive probability to its log
-    probability; entry 0 is ``{(): 0.0}``.  One depth-first walk of the
-    prefix tree: a child's total is its parent's plus ``math.log(p)``, the
-    fold :meth:`AlternativeModel.prefix_log_probabilities` makes, so every
-    entry equals ``sequence_log_probability`` bit for bit.  Laws and states
-    come from a ``models._StateMemo``: a first-order Markov chain's three
-    states serve all 2 047 nodes of depth 11, while a changepoint posterior,
-    new at every node, costs what it did.  A string through a
-    zero-probability symbol (log probability -inf) has no entry, and the
-    walk never advances past one.
-    """
-    levels = [{(): 0.0}] + [{} for _ in range(depth)]
-    memo = _StateMemo(model, _log_steps)
-
-    def walk(node, prefix: tuple, total: float) -> None:
-        for z, log_p in node[0]:
-            child, child_total = prefix + (z,), total + log_p
-            levels[len(child)][child] = child_total
-            if len(child) < depth:
-                walk(memo.child(node, z), child, child_total)
-
-    walk(memo.node(model.start()), (), 0.0)
-    return levels
-
-
-def _log_steps(probs) -> list:
-    """``(z, log p)`` for each bit z of positive probability p under ``probs``."""
-    p0, p1 = float(probs[0]), float(probs[1])
-    steps = []
-    if not p0 <= 0.0:
-        steps.append((0, math.log(p0)))
-    if not p1 <= 0.0:
-        steps.append((1, math.log(p1)))
-    return steps
-
-
 def run_eprocess(cfg: ExperimentConfig) -> dict:
     """E-process trajectory, exact e-variable table over a theta grid, and the
     all-distinct empirical-ML demonstration; writes CSV tables and
     eprocess.json.
 
     The table's statistic Q(bits) / ML(bits) reads Q from one walk of the
-    prefix tree (:func:`_log_q_levels`), so each prefix is folded once
-    rather than once per string that extends it, and each grid length n
-    takes one :func:`ctmkit.oracle.evariable_expectation` call for the whole
-    theta grid, so the statistic is read once per string.  For every n
-    the walk's value for the data's prefix ``data[:n]`` must equal
+    prefix tree, ``model.log_probability_levels``, so each prefix is folded
+    once rather than once per string that extends it, and each grid length
+    n takes one :func:`ctmkit.oracle.evariable_expectation` call for the
+    whole theta grid, so the statistic is read once per string.  For every
+    n the walk's value for the data's prefix ``data[:n]`` must equal
     ``model.sequence_log_probability(data[:n])`` exactly, or the run
     raises: a self-audit of the memoised walk against the model's plain
-    fold, one ``probs`` and one ``advance`` per symbol.  The data
-    and the alternative are checked by :func:`ctmkit.eprocess.run_eprocess`,
-    before ``--out`` is made, and a refusal names the field at fault.
+    fold, one ``probs`` and one ``advance`` per symbol.  The data and the
+    alternative are checked by :func:`ctmkit.eprocess.run_eprocess`, before
+    ``--out`` is made, and a refusal names the field at fault.
     """
     model = cfg.model
     data = _replicate_data(cfg, substream(cfg.seed, _STREAM_REPLICATE, 0, 0))[: cfg.horizon]
@@ -770,7 +735,7 @@ def run_eprocess(cfg: ExperimentConfig) -> dict:
 
     thetas = [i / 10.0 for i in range(11)]
     n_grid = list(range(1, min(cfg.horizon, EVAR_MAX_N) + 1))
-    levels = _log_q_levels(model, len(n_grid))
+    levels = model.log_probability_levels(len(n_grid))
     evar_max = 0.0
     with (out_dir / "evar_table.csv").open("w", encoding="utf-8") as fh:
         fh.write("theta,n,expectation\n")

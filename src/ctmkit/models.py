@@ -6,9 +6,10 @@ before any symbol, ``advance(state, z)`` the state after one more symbol,
 and ``probs(state)`` the next-symbol law.  Models are horizon-free: the run
 length is a runtime parameter, never a model parameter.  Log probabilities
 are folded once, by ``prefix_log_probabilities``, which the e-process reads.
-Walks that meet a forward state again (``sample`` and the e-variable
-table's prefix-tree walk) compute each distinct state's law and steps once
-per call, through a ``_StateMemo``, and get the plain fold's bits.
+Walks that meet a forward state again, ``sample`` and
+``log_probability_levels`` (the prefix-tree walk the e-variable table
+reads), compute each distinct state's law and steps once per call, through
+a ``_StateMemo``, and get the plain fold's bits.
 
 The step also comes batched, ``advance_batch(states, symbols)`` and
 ``probs_batch(states)``, which loop over the scalar methods by default.  The
@@ -40,7 +41,7 @@ import numpy as np
 PROB_SUM_TOL = 1e-12
 
 
-def _check_laws(what: str, laws: np.ndarray) -> None:
+def check_laws(what: str, laws: np.ndarray) -> None:
     """Raise ValueError unless every row of ``laws`` is a probability law.
 
     Every comparison with NaN is False, so a NaN entry fails the check.
@@ -192,6 +193,33 @@ class AlternativeModel(ABC):
         out[:] = draws
         return out
 
+    def log_probability_levels(self, depth: int) -> list:
+        """Natural log probability of every string of length at most ``depth >= 1``.
+
+        Entry k maps each length-k symbol tuple of positive probability to
+        its log probability; entry 0 is ``{(): 0.0}``.  One depth-first walk
+        of the prefix tree: a child's total is its parent's plus
+        ``math.log(p)``, the fold :meth:`prefix_log_probabilities` makes, so
+        every entry equals :meth:`sequence_log_probability` bit for bit.
+        Laws and states come from a :class:`_StateMemo`: a first-order
+        Markov chain's three states serve all 2 047 nodes of depth 11, while
+        a changepoint posterior, new at every node, costs what it did.  A
+        string through a zero-probability symbol (log probability -inf) has
+        no entry, and the walk never advances past one.
+        """
+        levels = [{(): 0.0}] + [{} for _ in range(depth)]
+        memo = _StateMemo(self, _log_steps)
+
+        def walk(node, prefix: tuple, total: float) -> None:
+            for z, log_p in node[0]:
+                child, child_total = prefix + (z,), total + log_p
+                levels[len(child)][child] = child_total
+                if len(child) < depth:
+                    walk(memo.child(node, z), child, child_total)
+
+        walk(memo.node(self.start()), (), 0.0)
+        return levels
+
 
 def _cumulative(probs):
     """A law as the sampler reads it: its cumulative sum as a list, which
@@ -201,8 +229,16 @@ def _cumulative(probs):
     return np.cumsum(probs).tolist(), probs
 
 
+def _log_steps(probs) -> list:
+    """A law as the prefix-tree walk reads it: ``(z, log p)`` for each symbol
+    z of positive probability p, in symbol order."""
+    return [(z, math.log(p)) for z, p in enumerate(probs.tolist()) if not p <= 0.0]
+
+
 class _StateMemo:
-    """One model's forward step within one call, computed once per distinct state.
+    """One model's forward step within one call, computed once per distinct
+    state, for the two walks that meet states again: :meth:`AlternativeModel.sample`
+    and :meth:`AlternativeModel.log_probability_levels`.
 
     Each state gets a node, the list ``[read(probs(state)), state, child_0,
     ..., child_{m-1}]``; slot ``2 + z`` holds the node after symbol z once
@@ -267,26 +303,12 @@ class HiddenStateModel(AlternativeModel):
                 f"transition tensor must have shape ({H}, m, {H}), got {transition.shape}"
             )
         super().__init__(transition.shape[1])
-        _check_laws("initial hidden-state law", initial[None, :])
-        _check_laws("transition", transition.reshape(H, -1))
+        check_laws("initial hidden-state law", initial[None, :])
+        check_laws("transition", transition.reshape(H, -1))
         self.initial = initial
         self.transition = transition
         self._emit = transition.sum(axis=2)  # _emit[h, z]: P(emit z | hidden state h)
         self.description = description or "hidden-state model"
-        self._take_steps()
-
-    def _take_steps(self):
-        # _steps[z] is the view transition[:, z, :], made once: advance
-        # multiplies by this very operand (a copy's layout could round
-        # differently), so it is rebuilt after unpickling, never pickled
-        self._steps = [self.transition[:, z, :] for z in range(self.alphabet_size)]
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_steps"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._take_steps()
 
     def start(self) -> np.ndarray:
         return self.initial
@@ -294,7 +316,7 @@ class HiddenStateModel(AlternativeModel):
     # np.add.reduce is the reduction ndarray.sum runs, without its Python
     # wrapper: the same bits, at a fifth less cost per scalar step
     def advance(self, state: np.ndarray, z: int) -> np.ndarray:
-        state = state @ self._steps[int(z)]
+        state = state @ self.transition[:, int(z), :]
         total = float(np.add.reduce(state))
         if total <= 0.0:
             raise ValueError("prefix has probability zero under this model")
@@ -405,7 +427,7 @@ class TableModel(AlternativeModel):
         rows = np.asarray(rows, dtype=float)
         if rows.shape != (count, m):
             raise ValueError(f"expected {count} rows of width {m}, got {rows.shape}")
-        _check_laws("conditional", rows)
+        check_laws("conditional", rows)
         self.depth = depth
         self._rows = np.vstack([rows, np.full(m, 1.0 / m)])
         self._rows.setflags(write=False)

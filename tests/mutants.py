@@ -84,10 +84,14 @@ MUTANTS = (
            "        return partial(bayes_kelly_bettor, model, measure)",
            "        return ConstantBettor",
            ("tests/test_harness.py",)),
-    Mutant("prefix-tree walk stores a child at its parent's level", "harness.py",
-           "            levels[len(child)][child] = child_total",
-           "            levels[len(prefix)][child] = child_total",
-           ("tests/test_harness.py",)),
+    Mutant("prefix-tree walk stores a child at its parent's level", "models.py",
+           "                levels[len(child)][child] = child_total",
+           "                levels[len(prefix)][child] = child_total",
+           ("tests/test_models.py",)),
+    Mutant("categorical null skips the law check", "harness.py",
+           '            check_laws("categorical", probs[None, :])',
+           "            pass",
+           ("tests/test_cli.py",)),
     Mutant("null's top symbol may equal the alphabet size", "harness.py",
            "    elif cfg.null_top >= m:",
            "    elif cfg.null_top > m:",
@@ -141,10 +145,10 @@ MUTANTS = (
            "        child = node[2 + z]",
            "        child = node[2]",
            ("tests/test_models.py",)),
-    Mutant("prefix-tree walk reads the parent's law at the child", "harness.py",
-           "                walk(memo.child(node, z), child, child_total)",
-           "                walk(node, child, child_total)",
-           ("tests/test_harness.py",)),
+    Mutant("prefix-tree walk reads the parent's law at the child", "models.py",
+           "                    walk(memo.child(node, z), child, child_total)",
+           "                    walk(node, child, child_total)",
+           ("tests/test_models.py",)),
     Mutant("collapsed grid cell 0 sums the newest-0 masses pairwise", "bayes_kelly.py",
            "        diff[0] = v[:, 0].cumsum()[n] + v[n, 1]",
            "        diff[0] = v[:, 0].sum() + v[n, 1]",

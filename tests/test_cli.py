@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -216,6 +217,15 @@ class TestExitCodes:
             assert code == 1
             assert "finite" in capsys.readouterr().err
 
+    def test_a_law_off_by_5e_10_is_one_for_the_null_as_for_the_alternative(self, tmp_path,
+                                                                             capsys):
+        # the null and the alternative share one law rule, a sum within 1e-12 of 1
+        for flags, field in (({"--null": "categorical:0.5,0.5000000005"}, "null"),
+                             ({"--alt": "iid:0.5,0.5000000005", "--dgp": "alt"}, "alt")):
+            assert main(["simulate", *_simulate_args(tmp_path / "run", **flags)]) == 1
+            assert f"config error: {field}: " in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     def test_usage_error_is_one(self, capsys):
         assert main(["simulate", "--seed", "notanint"]) == 1
         assert main(["frobnicate"]) == 1
@@ -416,3 +426,15 @@ class TestPublicNames:
         for module in modules:
             for name in getattr(module, "__all__", ()):
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_no_module_imports_a_private_name_of_another(self):
+        # a name with a leading underscore stays in its own module: no
+        # ``from .sibling import _name`` (nor ``from ctmkit.sibling import _name``)
+        found = []
+        for path in sorted(Path(ctmkit.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").split(".")[0] == "ctmkit"):
+                    found += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+        assert found == []

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import pickle
@@ -16,16 +15,12 @@ from ctmkit import (
     BayesKellyBettor,
     CollapsedBayesKellyBettor,
     ConstantBettor,
-    HiddenStateModel,
     IdentityMeasure,
     PiecewiseDensity,
-    PointMassModel,
     ShrunkAlternativeBettor,
     cell_tree,
     changepoint_model,
     expected_log_wealth,
-    iid_model,
-    markov_model,
 )
 from ctmkit import harness
 from ctmkit.cli import main
@@ -47,8 +42,6 @@ from ctmkit.harness import (
     substream,
     write_json,
 )
-
-from helpers import random_hidden_state, random_table
 
 
 def _cfg(tmp_path, **overrides):
@@ -340,12 +333,14 @@ class TestSimulate:
             assert run_simulate(_cfg(tmp_path, null=null, reps=2, horizon=5))["ok"] is True
         assert _parse_null_spec("categorical:0.5,0.5,0")[1] == 1
         assert _parse_null_spec("categorical:0,0,1")[1] == 2
-        # the cumulative sum ends at 0.9999999999: the largest uniform draw
-        # still lands on the last positive-probability symbol
-        sampler, top = _parse_null_spec("categorical:0.3,0.6999999999,0")
-        assert top == 1
+        # the float cumulative sum ends at 1 - 2**-53, the largest uniform
+        # draw, which searchsorted puts past the last symbol: the draw still
+        # lands on the last positive-probability symbol
+        sampler, top = _parse_null_spec("categorical:0.7,0.2,0.1,0")
+        assert np.cumsum([0.7, 0.2, 0.1, 0.0])[-1] == 1.0 - 2.0**-53
+        assert top == 2
         largest = SimpleNamespace(random=lambda n: np.full(n, 1.0 - 2.0**-53))
-        assert sampler(largest, 3).tolist() == [1, 1, 1]
+        assert sampler(largest, 3).tolist() == [2, 2, 2]
         assert _parse_null_spec("bernoulli:0")[1] == 0
         assert _parse_null_spec("normal")[1] is None
 
@@ -611,86 +606,6 @@ class TestEProcessRun:
             run_eprocess(cfg)
 
 
-class _Laplace(AlternativeModel):
-    """Rule of succession: a custom model whose forward state is (ones, length)."""
-
-    def __init__(self):
-        super().__init__(2)
-
-    def start(self):
-        return (0, 0)
-
-    def advance(self, state, z):
-        return (state[0] + int(z), state[1] + 1)
-
-    def probs(self, state):
-        p1 = (state[0] + 1.0) / (state[1] + 2.0)
-        return np.array([1.0 - p1, p1])
-
-
-WALK_MODELS = [
-    changepoint_model(0.5, 0.9, 0.2),
-    changepoint_model(0.3, 0.9, 0.0),
-    changepoint_model(0.3, 0.9, 1.0),
-    changepoint_model(0.0, 1.0, 0.2),
-    changepoint_model(1.0, 0.0, 0.4),
-    markov_model(0.1, 0.1, 0.5),
-    markov_model(0.0, 0.0, 1.0),
-    markov_model(1.0, 1.0, 0.0),
-    iid_model([1.0, 0.0]),
-    random_table(2, depth=3, rng=np.random.default_rng(11)),
-    PointMassModel([1, 0, 1], alphabet_size=2),
-    _Laplace(),
-]
-
-
-def _model_id(model):
-    return repr(model) if isinstance(model, HiddenStateModel) else type(model).__name__
-
-
-# seeded random binary hidden-state models with structural zeros, H = 1..4
-RANDOM_WALK_MODELS = [random_hidden_state(np.random.default_rng([hidden, seed]), hidden, 2)
-                      for hidden in (1, 2, 3, 4) for seed in (0, 1)]
-
-
-def _frozen_log_q_levels(model, depth):
-    """``harness._log_q_levels`` before its state memo: a ``probs`` at every
-    node and an ``advance`` to every child walked."""
-    levels = [{(): 0.0}] + [{} for _ in range(depth)]
-
-    def walk(state, prefix, total):
-        probs = model.probs(state)
-        for z in (0, 1):
-            p = float(probs[z])
-            if p <= 0.0:
-                continue
-            child, child_total = prefix + (z,), total + math.log(p)
-            levels[len(child)][child] = child_total
-            if len(child) < depth:
-                walk(model.advance(state, z), child, child_total)
-
-    walk(model.start(), (), 0.0)
-    return levels
-
-
-def _spy_steps(model):
-    """Record the key of every state ``model.probs`` reads, and of every
-    (state, symbol) ``model.advance`` steps from."""
-    reads, steps = [], []
-    probs, advance = model.probs, model.advance
-
-    def read(state):
-        reads.append(state.tobytes())
-        return probs(state)
-
-    def step(state, z):
-        steps.append((state.tobytes(), z))
-        return advance(state, z)
-
-    model.probs, model.advance = read, step
-    return reads, steps
-
-
 # sha256 of eprocess_trajectory.csv, eprocess.json and evar_table.csv, in that
 # order, as written when the e-variable table called sequence_log_probability
 # once per bit string (seed 1, null bernoulli:0.5)
@@ -714,42 +629,6 @@ EPROCESS_DIGESTS = {
 
 
 class TestEVariableTableWalk:
-    @pytest.mark.parametrize("model", WALK_MODELS, ids=_model_id)
-    def test_levels_equal_sequence_log_probability(self, model):
-        levels = harness._log_q_levels(model, 12)
-        assert len(levels) == 13
-        for k, level in enumerate(levels):
-            strings = list(itertools.product((0, 1), repeat=k))
-            want = [model.sequence_log_probability(bits) for bits in strings]
-            # a string missing from the level reads as -inf
-            assert [level.get(bits, -math.inf) for bits in strings] == want
-            assert set(level) <= set(strings)
-            assert -math.inf not in level.values()
-
-    @pytest.mark.parametrize("model", WALK_MODELS + RANDOM_WALK_MODELS, ids=_model_id)
-    def test_levels_equal_the_frozen_walk(self, model):
-        for depth in (1, 2, 11):
-            levels = harness._log_q_levels(model, depth)
-            frozen = _frozen_log_q_levels(model, depth)
-            assert levels == frozen
-            assert [list(level) for level in levels] == [list(level) for level in frozen]
-
-    def test_one_step_per_distinct_state(self):
-        # the three forward states of markov:0.1,0.1,0.5 serve all 2 047
-        # nodes of depth 11: one probs per state, one advance per (state, bit)
-        model = markov_model(0.1, 0.1, 0.5)
-        reads, steps = _spy_steps(model)
-        harness._log_q_levels(model, 11)
-        assert len(reads) == len(set(reads)) == 3
-        assert len(steps) == len(set(steps)) == 6
-        # a changepoint posterior may be new at every node: depths 0-10 are
-        # read, and every node but the root is advanced to, at most once each
-        model = changepoint_model(0.5, 0.9, 0.2)
-        reads, steps = _spy_steps(model)
-        harness._log_q_levels(model, 11)
-        assert len(reads) == len(set(reads)) <= 2047
-        assert len(steps) == len(set(steps)) <= 2046
-
     @pytest.mark.parametrize("alt,horizon", list(EPROCESS_DIGESTS))
     def test_outputs_unchanged(self, tmp_path, alt, horizon):
         cfg = ExperimentConfig.from_mapping(dict(
@@ -794,14 +673,14 @@ class TestEVariableTableWalk:
         assert len(reads) == 4094 == len(set(reads))
 
     def test_audit_raises_on_a_walk_mismatch(self, tmp_path, monkeypatch):
-        walk = harness._log_q_levels
+        walk = AlternativeModel.log_probability_levels
 
         def off_by_one_ulp(model, depth):
             levels = walk(model, depth)
             levels[3] = {s: float(np.nextafter(q, 0.0)) for s, q in levels[3].items()}
             return levels
 
-        monkeypatch.setattr(harness, "_log_q_levels", off_by_one_ulp)
+        monkeypatch.setattr(AlternativeModel, "log_probability_levels", off_by_one_ulp)
         with pytest.raises(RuntimeError, match=r"data\[:3\]"):
             run_eprocess(_cfg(tmp_path, alt="markov:0.1,0.1,0.5", horizon=5))
 

@@ -686,17 +686,122 @@ class TestSamplerMemo:
     @pytest.mark.parametrize("hidden,m,seed", RANDOM_HIDDEN)
     def test_scalar_step_is_frozen(self, hidden, m, seed):
         # advance and probs give the bits of their former form, on the model
-        # and on a pickled copy, whose step views are taken afresh
+        # and on a pickled copy, as a --jobs worker gets it
         rng = np.random.default_rng([hidden, m, seed, 1])
         model = random_hidden_state(rng, hidden, m)
         for copy in (model, pickle.loads(pickle.dumps(model))):
-            assert "_steps" not in copy.__getstate__()
             state = copy.start()
             for z in model.sample(200, rng).tolist():
                 law, after = _frozen_step(model, state, z)
                 assert np.array_equal(copy.probs(state), law)
                 state = copy.advance(state, z)
                 assert np.array_equal(state, after)
+
+
+def _frozen_log_probability_levels(model, depth):
+    """``log_probability_levels`` before its state memo: a ``probs`` at every
+    node and an ``advance`` to every child walked."""
+    levels = [{(): 0.0}] + [{} for _ in range(depth)]
+
+    def walk(state, prefix, total):
+        probs = model.probs(state)
+        for z in range(model.alphabet_size):
+            p = float(probs[z])
+            if p <= 0.0:
+                continue
+            child, child_total = prefix + (z,), total + math.log(p)
+            levels[len(child)][child] = child_total
+            if len(child) < depth:
+                walk(model.advance(state, z), child, child_total)
+
+    walk(model.start(), (), 0.0)
+    return levels
+
+
+def _spy_steps(model):
+    """Record the key of every state ``model.probs`` reads, and of every
+    (state, symbol) ``model.advance`` steps from."""
+    reads, steps = [], []
+    probs, advance = model.probs, model.advance
+
+    def read(state):
+        reads.append(state.tobytes())
+        return probs(state)
+
+    def step(state, z):
+        steps.append((state.tobytes(), z))
+        return advance(state, z)
+
+    model.probs, model.advance = read, step
+    return reads, steps
+
+
+def _walk_models():
+    return [
+        changepoint_model(0.5, 0.9, 0.2),
+        changepoint_model(0.3, 0.9, 0.0),
+        changepoint_model(0.3, 0.9, 1.0),
+        changepoint_model(0.0, 1.0, 0.2),
+        changepoint_model(1.0, 0.0, 0.4),
+        markov_model(0.1, 0.1, 0.5),
+        markov_model(0.0, 0.0, 1.0),
+        markov_model(1.0, 1.0, 0.0),
+        iid_model([1.0, 0.0]),
+        random_table(2, depth=3, rng=np.random.default_rng(11)),
+        PointMassModel([1, 0, 1], alphabet_size=2),
+        LaplaceModel(),
+    ]
+
+
+# (model, walk depth): binary models to depth 12, ternary ones to depth 6
+WALKS = ([(model, 12) for model in _walk_models()]
+         + [(_ternary_changepoint(), 6),
+            (random_table(3, depth=3, rng=np.random.default_rng(13)), 6)])
+# seeded random hidden-state models with structural zeros, H = 1..4
+RANDOM_WALKS = [(random_hidden_state(np.random.default_rng([hidden, m, seed]), hidden, m),
+                 11 if m == 2 else 6)
+                for hidden in (1, 2, 3, 4) for m in (2, 3) for seed in (0, 1)]
+
+
+class TestLogProbabilityLevels:
+    """The prefix-tree walk the e-variable table reads gives every string's
+    ``sequence_log_probability``, bit for bit, over any alphabet."""
+
+    @pytest.mark.parametrize("model,depth", WALKS, ids=_ids(WALKS))
+    def test_levels_equal_sequence_log_probability(self, model, depth):
+        levels = model.log_probability_levels(depth)
+        assert len(levels) == depth + 1
+        for k, level in enumerate(levels):
+            strings = [tuple(row) for row in _all_sequences(model.alphabet_size, k).tolist()]
+            want = [model.sequence_log_probability(s) for s in strings]
+            # a string missing from the level reads as -inf
+            assert [level.get(s, -math.inf) for s in strings] == want
+            assert set(level) <= set(strings)
+            assert -math.inf not in level.values()
+
+    @pytest.mark.parametrize("model,depth", WALKS + RANDOM_WALKS, ids=_ids(WALKS + RANDOM_WALKS))
+    def test_levels_equal_the_frozen_walk(self, model, depth):
+        for d in (1, 2, depth):
+            levels = model.log_probability_levels(d)
+            frozen = _frozen_log_probability_levels(model, d)
+            assert levels == frozen
+            assert [list(level) for level in levels] == [list(level) for level in frozen]
+
+    def test_one_step_per_distinct_state(self):
+        # the three forward states of markov:0.1,0.1,0.5 serve all 2 047
+        # nodes of depth 11: one probs per state, one advance per (state, bit)
+        model = markov_model(0.1, 0.1, 0.5)
+        reads, steps = _spy_steps(model)
+        model.log_probability_levels(11)
+        assert len(reads) == len(set(reads)) == 3
+        assert len(steps) == len(set(steps)) == 6
+        # a changepoint posterior may be new at every node: depths 0-10 are
+        # read, and every node but the root is advanced to, at most once each
+        model = changepoint_model(0.5, 0.9, 0.2)
+        reads, steps = _spy_steps(model)
+        model.log_probability_levels(11)
+        assert len(reads) == len(set(reads)) <= 2047
+        assert len(steps) == len(set(steps)) <= 2046
 
 
 def _count_advances(model):
