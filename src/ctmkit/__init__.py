@@ -52,7 +52,6 @@ from .models import (
 from .oracle import (
     CellPath,
     cell_tree,
-    cell_volume_closure,
     evariable_expectation,
     expected_log_wealth,
     node_plan,
@@ -85,7 +84,6 @@ __all__ = [
     "audit_trajectory",
     "bayes_kelly_bettor",
     "cell_tree",
-    "cell_volume_closure",
     "changepoint_model",
     "ctm_run",
     "evariable_expectation",

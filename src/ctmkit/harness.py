@@ -1,14 +1,18 @@
 """Experiment harness: seeded Monte Carlo suites and certification reports.
 
-Every run is a pure function of (config, seed).  The root seed is split into
+Every run is a pure function of (config, seed) for one OpenBLAS kernel (the
+forward steps' matrix products round differently under, for example,
+``OPENBLAS_CORETYPE=Haswell``).  The root seed is split into
 named substreams (per-replicate data and tie-breaking streams, rival
 sampling, demonstration data) so replicates can run in parallel without
 changing a single byte of output: rows are buffered per replicate and
 written in replicate order, and all reductions run in a fixed order.
 
 Outputs are delimited text plus flat JSON; the CSV column contract is
-``rep,n,z,tau,n_star,n_upper,p,factor,wealth,log10_wealth`` and every
-trajectory file can be re-audited by cumulative-product reconstruction.
+``rep,n,z,tau,n_star,n_upper,p,factor,wealth,log10_wealth``, one row per
+:class:`~ctmkit.conformal.StepRecord`, and every trajectory file can be
+re-audited by cumulative-product reconstruction while wealth stays below
+about exp(709); past that the ``wealth`` column reads ``inf``.
 """
 
 from __future__ import annotations
@@ -354,29 +358,20 @@ def _check_bettor_data(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"observations outside the alternative's alphabet [0, {m})")
 
 
-def _replicate_payload(cfg: ExperimentConfig, rep: int) -> dict:
+def _replicate_payload(cfg: ExperimentConfig, rep: int) -> tuple:
+    """One replicate: its observations, tie-breaking draws and step records."""
     data_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 0)
     tau_rng = substream(cfg.seed, _STREAM_REPLICATE, rep, 1)
     bettor, _, measure = build_bettor(cfg)
     data = _replicate_data(cfg, data_rng)
     taus = tau_rng.random(cfg.horizon) if cfg.tau is None else np.full(cfg.horizon, cfg.tau)
     steps = ctm_run(data, measure, bettor, taus, cfg.horizon)
-    # one buffer per column: validate keeps every replicate's p, and a view
-    # would keep the whole step array alive with it
-    n_star, n_upper, p, factor, log_wealth = map(np.ascontiguousarray, np.array(steps).T)
-    return {
-        "z": np.asarray(data[: cfg.horizon]),
-        "tau": taus,
-        "n_star": n_star,
-        "n_upper": n_upper,
-        "p": p,
-        "factor": factor,
-        "log_wealth": log_wealth,
-    }
+    return data[: cfg.horizon], taus, steps
 
 
 def _iter_payloads(cfg: ExperimentConfig):
-    """Every replicate's payload in replicate order, from one worker or many."""
+    """Every replicate's ``(z, taus, steps)`` in replicate order, from one
+    worker or many."""
     replicate = partial(_replicate_payload, cfg)
     if cfg.jobs <= 1:
         yield from map(replicate, range(cfg.reps))
@@ -402,27 +397,15 @@ def _fmt_obs(z) -> str:
     return str(int(f)) if f.is_integer() and abs(f) < 2**53 else repr(f)
 
 
-def _format_rows(rep: int, payload: dict) -> str:
+def _format_rows(rep: int, z, taus, steps) -> str:
     lines = []
-    for i in range(payload["p"].size):
-        log_w = float(payload["log_wealth"][i])
+    for n, (obs, tau, s) in enumerate(zip(z, taus, steps), start=1):
+        log_w = float(s.log_wealth)
         lines.append(
-            ",".join(
-                (
-                    str(rep),
-                    str(i + 1),
-                    _fmt_obs(payload["z"][i]),
-                    _fmt(payload["tau"][i]),
-                    str(int(payload["n_star"][i])),
-                    str(int(payload["n_upper"][i])),
-                    _fmt(payload["p"][i]),
-                    _fmt(payload["factor"][i]),
-                    _fmt(linear_from_log(log_w)),
-                    _fmt(log_w / _LN10),
-                )
-            )
+            f"{rep},{n},{_fmt_obs(obs)},{_fmt(tau)},{s.n_star},{s.n_upper},{_fmt(s.p)},"
+            f"{_fmt(s.factor)},{_fmt(linear_from_log(log_w))},{_fmt(log_w / _LN10)}\n"
         )
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(lines)
 
 
 def _sanitize(value):
@@ -503,9 +486,9 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     final_log = []
     with traj_path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rep, payload in enumerate(_iter_payloads(cfg)):
-            fh.write(_format_rows(rep, payload))
-            log_w = float(payload["log_wealth"][-1])
+        for rep, (z, taus, steps) in enumerate(_iter_payloads(cfg)):
+            fh.write(_format_rows(rep, z, taus, steps))
+            log_w = float(steps[-1].log_wealth)
             final_log.append(log_w)
             final_wealth.append(linear_from_log(log_w))
     audit = audit_trajectory(traj_path)
@@ -617,9 +600,9 @@ def run_validate(cfg: ExperimentConfig) -> dict:
     _check_bettor_data(cfg)
     rows = []
     final_wealth = []
-    for payload in _iter_payloads(cfg):
-        rows.append(payload["p"])
-        final_wealth.append(linear_from_log(float(payload["log_wealth"][-1])))
+    for _, _, steps in _iter_payloads(cfg):
+        rows.append(np.array([s.p for s in steps], dtype=float))
+        final_wealth.append(linear_from_log(float(steps[-1].log_wealth)))
     p = np.stack(rows)  # (reps, horizon)
     ks_stat, ks_p = ks_uniform(p.ravel())
     lag1 = 0.0

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -52,7 +51,6 @@ __all__ = [
     "CellPath",
     "NodePlan",
     "cell_tree",
-    "cell_volume_closure",
     "pushforward_kl",
     "expected_log_wealth",
     "node_plan",
@@ -163,20 +161,6 @@ def cell_tree(
 
     walk({(): 1.0}, 1, (), ())
     return cells
-
-
-def cell_volume_closure(cells) -> bool:
-    """Exact check that the cell volumes tile the cube: N! cells of 1/N! each."""
-    if not cells:
-        return False
-    horizon = len(cells[0].intervals)
-    fact = math.factorial(horizon)
-    if len(cells) != fact:
-        return False
-    expected = 1.0 / fact
-    if any(c.volume != expected for c in cells):
-        return False
-    return Fraction(1, fact) * len(cells) == 1
 
 
 def pushforward_kl(cells) -> float:

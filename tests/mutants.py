@@ -107,6 +107,12 @@ MUTANTS = (
            "_check_bettor_data(cfg)",
            ("tests/test_cli.py",),
            occurrence=(1, 2)),
+    Mutant("CSV row swaps the n_star and n_upper cells", "harness.py",
+           '            f"{rep},{n},{_fmt_obs(obs)},{_fmt(tau)},{s.n_star},{s.n_upper},'
+           '{_fmt(s.p)},"',
+           '            f"{rep},{n},{_fmt_obs(obs)},{_fmt(tau)},{s.n_upper},{s.n_star},'
+           '{_fmt(s.p)},"',
+           ("tests/test_cli.py",)),
     Mutant("cell tree reads the law memoised at the parent prefix", "oracle.py",
            "            probs = laws[prefix]",
            "            probs = laws.get(prefix[:-1], laws[prefix])",

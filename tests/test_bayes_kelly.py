@@ -234,12 +234,37 @@ class TestBayesKellyBettor:
                 assert got[key] == pytest.approx(value, abs=1e-12)
 
 
+def _random_hidden_state(rng, hidden):
+    """Seeded binary ``HiddenStateModel`` with structural zeros: about a
+    quarter of the transition entries (and of the initial law, when there
+    is more than one state) are exactly 0."""
+    initial = rng.dirichlet(np.ones(hidden))
+    if hidden > 1:
+        initial[rng.random(hidden) < 0.25] = 0.0
+        initial[rng.integers(hidden)] += 0.5
+    T = rng.dirichlet(np.ones(2 * hidden), size=hidden)
+    T[rng.random(T.shape) < 0.25] = 0.0
+    T[np.arange(hidden), rng.integers(2 * hidden, size=hidden)] += 0.5
+    return HiddenStateModel(initial / initial.sum(), (T / T.sum(axis=1)[:, None]).reshape(
+        hidden, 2, hidden))
+
+
+# 7 and 8 hidden states straddle the length at which numpy's sum over them
+# turns from left to right to pairwise
+_RANDOM_HIDDEN = [(hidden, seed) for hidden in (1, 2, 3) for seed in (0, 1, 2)] + [(7, 0), (8, 0)]
+
+
 class TestCollapse:
     @pytest.mark.parametrize("model_factory, seed", [
         (lambda: changepoint_model(0.5, 0.9, 0.2), 21),
         (lambda: markov_model(0.1, 0.1), 21),
         (lambda: changepoint_model(0.5, 0.9, 0.2), 22),
         (lambda: markov_model(0.1, 0.1), 23),
+    ] + [
+        # random models with up to 8 hidden states, at uniform (non-grid) p-values
+        pytest.param(lambda h=hidden, s=seed: _random_hidden_state(
+            np.random.default_rng([h, s]), h), 21, id=f"random-{hidden}-{seed}")
+        for hidden, seed in _RANDOM_HIDDEN
     ])
     def test_collapsed_matches_full_horizon_8(self, model_factory, seed):
         rng = np.random.default_rng(seed)
@@ -255,6 +280,7 @@ class TestCollapse:
                 assert full.update(p) == pytest.approx(fast.update(p), abs=1e-12)
                 # log wealth is log n! plus the log of the posterior mass
                 assert full.log_wealth == pytest.approx(fast.log_wealth, abs=1e-12)
+                assert full.dead == fast.dead
 
     def test_refuses_non_identity_measure(self):
         with pytest.raises(TypeError):
@@ -292,21 +318,6 @@ class TestDensityLaw:
                 assert min(d.heights) >= 0.0
                 assert max(d.heights) <= d.n * (1.0 + 1e-12)
                 b.update(float(rng.random()))
-
-
-def _random_hidden_state(rng, hidden):
-    """Seeded binary ``HiddenStateModel`` with structural zeros: about a
-    quarter of the transition entries (and of the initial law, when there
-    is more than one state) are exactly 0."""
-    initial = rng.dirichlet(np.ones(hidden))
-    if hidden > 1:
-        initial[rng.random(hidden) < 0.25] = 0.0
-        initial[rng.integers(hidden)] += 0.5
-    T = rng.dirichlet(np.ones(2 * hidden), size=hidden)
-    T[rng.random(T.shape) < 0.25] = 0.0
-    T[np.arange(hidden), rng.integers(2 * hidden, size=hidden)] += 0.5
-    return HiddenStateModel(initial / initial.sum(), (T / T.sum(axis=1)[:, None]).reshape(
-        hidden, 2, hidden))
 
 
 def _ref_collapsed_steps(model, ps):
@@ -360,9 +371,6 @@ _SHIPPED_BINARY = {
     "markov-init": lambda: markov_model(0.1, 0.1, 0.5),
     "iid": lambda: iid_model([0.7, 0.3]),
 }
-# 7 and 8 hidden states straddle the length at which numpy's sum over them
-# turns from left to right to pairwise
-_RANDOM_HIDDEN = [(hidden, seed) for hidden in (1, 2, 3) for seed in (0, 1, 2)] + [(7, 0), (8, 0)]
 
 
 class TestCollapsedBits:

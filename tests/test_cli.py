@@ -339,6 +339,18 @@ _PINNED = {
          "eprocess_trajectory.csv":
              "de2b3fe5d24ed1fe1bb7fb8a3b8d5a374e3bc3f1b35f1b0405901e10dfe5bed0",
          "evar_table.csv": "08b9c1190c4fdde44a0e456f360daa234ef00b70c835b46aadc9c52259b6b254"}),
+    # real observations through repr, and a constant tie-breaking draw
+    "normal_constant_tau": (
+        ["simulate", "--null", "normal:0,1", "--measure", "distmean", "--bettor", "constant",
+         "--tau-mode", "constant:0.25", "--horizon", "12", "--reps", "3"],
+        {"summary.json": "4ccc75f5257c6f09a74639da21d36a11bb8d92f55ba889c6919939a9801b891d",
+         "trajectory.csv": "09feeed52f671f11be5d498c67ed76ed1e37b2582d0cdc2004c2373a86276185"}),
+    # a mixed int/float stream: integral floats are written as ints
+    "file_mixed_floats": (
+        ["simulate", "--dgp", "file:obs.txt", "--measure", "distmean", "--bettor", "constant",
+         "--horizon", "6", "--reps", "2"],
+        {"summary.json": "19278ba27003519e3fbd02a06b24f5acb80ca19fc7767d4b12915455a53ab82e",
+         "trajectory.csv": "c52ab0793e300b74153e3223322c273ce1b92e3061b2cab35c00deebca209645"}),
 }
 
 
@@ -347,6 +359,7 @@ def test_model_runs_write_pinned_bytes(tmp_path, monkeypatch, capsys, name):
     argv, digests = _PINNED[name]
     monkeypatch.chdir(tmp_path)  # eprocess.json records the table path as given
     Path("table3.json").write_text(json.dumps(_TABLE3), encoding="utf-8")
+    Path("obs.txt").write_text("1\n2.0\n-0.5\n3\n0\n1e-3\n", encoding="utf-8")
     assert main([*argv, "--seed", "3", "--out", "run"]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in Path("run").iterdir()}

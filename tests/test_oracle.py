@@ -15,7 +15,6 @@ from ctmkit import (
     IdentityMeasure,
     PointMassModel,
     cell_tree,
-    cell_volume_closure,
     changepoint_model,
     evariable_expectation,
     expected_log_wealth,
@@ -33,6 +32,20 @@ from helpers import random_table
 def _weights(hset):
     """Candidate prefix -> weight."""
     return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}
+
+
+def _cell_volume_closure(cells) -> bool:
+    """Exact check that the cell volumes tile the cube: N! cells of 1/N! each."""
+    if not cells:
+        return False
+    horizon = len(cells[0].intervals)
+    fact = math.factorial(horizon)
+    if len(cells) != fact:
+        return False
+    expected = 1.0 / fact
+    if any(c.volume != expected for c in cells):
+        return False
+    return Fraction(1, fact) * len(cells) == 1
 
 
 class TestCellTree:
@@ -55,7 +68,7 @@ class TestCellTree:
         assert len(cells) == 6
         assert all(c.volume == pytest.approx(1 / 6, abs=1e-16) for c in cells)
         assert math.fsum(c.q_mass for c in cells) == pytest.approx(1.0, abs=1e-10)
-        assert cell_volume_closure(cells)
+        assert _cell_volume_closure(cells)
 
     def test_volume_closure_exact_rational(self):
         cells = cell_tree(changepoint_model(0.5, 0.9, 0.2), IdentityMeasure(), 5)
