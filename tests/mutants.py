@@ -60,6 +60,19 @@ MUTANTS = (
            "                         model.advance_batch(parents, syms))",
            "                         parents if hset.step else model.advance_batch(parents, syms))",
            ("tests/test_differential.py",)),
+    Mutant("explicit posterior keeps the wrong side of the upper boundary", "bayes_kelly.py",
+           "        alive = (n_star <= below) & (n_upper >= above)",
+           "        alive = (n_star <= below) & (n_upper > above)",
+           ("tests/test_differential.py",)),
+    Mutant("extend keeps the structural-zero children", "bayes_kelly.py",
+           "    kept = np.flatnonzero(child_w > 0.0)",
+           "    kept = np.flatnonzero(child_w >= 0.0)",
+           ("tests/test_differential.py",)),
+    Mutant("hidden-state advance_batch takes its step by einsum", "models.py",
+           "        step = (S @ self.transition.reshape(H, -1)).reshape(len(S), -1, H)",
+           "        step = np.einsum('rh,hk->rk', S, self.transition.reshape(H, -1))"
+           ".reshape(len(S), -1, H)",
+           ("tests/test_differential.py",)),
     Mutant("hidden-state advance_batch not normalised", "models.py",
            "        return S / total[:, None]",
            "        return S",

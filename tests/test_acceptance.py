@@ -13,7 +13,6 @@ import pytest
 
 from ctmkit import (
     BayesKellyBettor,
-    CollapsedBayesKellyBettor,
     DistanceToMeanMeasure,
     IdentityMeasure,
     cell_tree,
@@ -34,11 +33,7 @@ from ctmkit.cli import main as cli_main
 from ctmkit.harness import ExperimentConfig, run_validate
 
 from helpers import random_table
-
-
-def _weights(hset):
-    """Candidate prefix -> weight."""
-    return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}
+from test_differential import engines, midpoints, oracle_gaps
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -238,49 +233,19 @@ def test_criterion_6_all_distinct_floor():
 
 
 def test_criterion_7_engine_matches_oracle(certified_trees):
+    # the differential checker's oracle comparison, at every cell's midpoints
     trees, _ = certified_trees
-    worst_height = 0.0
-    worst_weight = 0.0
-    cells_walked = 0
-    for name, model, measure, N, cells in trees:
-        if model.alphabet_size != 2 or not isinstance(measure, IdentityMeasure):
-            continue
-        for cell in cells:
-            bettor = BayesKellyBettor(model, measure)
-            for n, (idx, height) in enumerate(zip(cell.intervals, cell.bk_heights), 1):
-                mid = (idx + 0.5) / n
-                worst_height = max(
-                    worst_height, abs(bettor.next_density().evaluate(mid) - height)
-                )
-                bettor.update(mid)
-            engine = _weights(bettor.hypothesis_set)
-            assert set(engine) == set(cell.final_weights)
-            for prefix, weight in cell.final_weights.items():
-                worst_weight = max(worst_weight, abs(engine[prefix] - weight))
-            cells_walked += 1
-
-    worst_factor = 0.0
-    rng = np.random.default_rng(707)
-    for model_factory in (lambda: changepoint_model(0.5, 0.9, 0.2),
-                          lambda: markov_model(0.1, 0.1)):
-        for _ in range(10):
-            full = BayesKellyBettor(model_factory(), IdentityMeasure())
-            fast = CollapsedBayesKellyBettor(model_factory(), IdentityMeasure())
-            for n in range(1, 9):
-                hf = np.asarray(full.next_density().heights)
-                hc = np.asarray(fast.next_density().heights)
-                worst_factor = max(worst_factor, float(np.max(np.abs(hf - hc))))
-                p = float(rng.random())
-                worst_factor = max(worst_factor, abs(full.update(p) - fast.update(p)))
-
-    ok = worst_height <= 1e-12 and worst_weight <= 1e-12 and worst_factor <= 1e-12
+    gaps = np.array([oracle_gaps(engine, model, measure, cells, midpoints(cells))
+                     for _, model, measure, _, cells in trees for engine in engines(model, measure)])
+    walked = sum(len(cells) * len(engines(model, measure)) for _, model, measure, _, cells in trees)
+    worst_bet, worst_weight = gaps.max(axis=0)
     _verdict(
         7,
-        "live engine reproduces oracle heights/weights on every cell; "
-        "collapsed equals uncollapsed at N=8",
-        ok,
-        f"{cells_walked} cells walked, max height gap {worst_height:.2e}, "
-        f"max weight gap {worst_weight:.2e}, max collapsed gap {worst_factor:.2e}",
+        "explicit and collapsed engines reproduce the oracle's factors and log wealth "
+        "on every cell, and the explicit leaf weights",
+        worst_bet <= 1e-12 and worst_weight <= 1e-12,
+        f"{walked} cell paths walked over {len(trees)} trees, max bet gap {worst_bet:.2e}, "
+        f"max weight gap {worst_weight:.2e}",
     )
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from ctmkit import (
     AlternativeModel,
     BayesKellyBettor,
     CollapsedBayesKellyBettor,
-    ConstantBettor,
     DistanceToMeanMeasure,
     HiddenStateModel,
     HypothesisSet,
@@ -18,14 +16,13 @@ from ctmkit import (
     TableModel,
     bayes_kelly_bettor,
     changepoint_model,
-    ctm_run,
     extend,
     iid_model,
     markov_model,
-    pvalue_step,
 )
 
-from helpers import random_table
+from helpers import (RANDOM_HIDDEN, grid_pvalues, prefix_weights, random_binary_hidden_state,
+                     random_table)
 
 
 def _ternary_hidden_state():
@@ -34,11 +31,6 @@ def _ternary_hidden_state():
     T[0] = np.outer([0.6, 0.3, 0.1], [0.9, 0.1])
     T[1] = np.outer([0.1, 0.2, 0.7], [0.2, 0.8])
     return HiddenStateModel([0.5, 0.5], T)
-
-
-def _weights(hset):
-    """Candidate prefix -> weight."""
-    return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}
 
 
 def _second_step(model, p1=0.5):
@@ -77,17 +69,17 @@ class TestHypothesisSet:
 class TestExtend:
     def test_deterministic_law_drops_zero_children(self):
         ext = extend(HypothesisSet.root(), iid_model([0.0, 1.0]))
-        assert _weights(ext) == {(1,): 1.0}
+        assert prefix_weights(ext) == {(1,): 1.0}
 
     def test_one_step_law(self):
         ext = extend(HypothesisSet.root(), iid_model([0.7, 0.3]))
-        assert _weights(ext) == pytest.approx({(0,): 0.7, (1,): 0.3}, abs=1e-15)
+        assert prefix_weights(ext) == pytest.approx({(0,): 0.7, (1,): 0.3}, abs=1e-15)
 
     def test_symmetric_markov_products(self):
         model = markov_model(0.1, 0.1)
         two = extend(extend(HypothesisSet.root(), model), model)
         want = {(0, 0): 0.45, (0, 1): 0.05, (1, 0): 0.05, (1, 1): 0.45}
-        assert _weights(two) == pytest.approx(want, abs=1e-15)
+        assert prefix_weights(two) == pytest.approx(want, abs=1e-15)
 
     def test_empty_set_rejected(self):
         empty = HypothesisSet(step=1, prefixes=np.zeros((0, 1), dtype=np.int16),
@@ -134,39 +126,16 @@ class TestCondition:
         model = TableModel(2, [[0.4, 0.6], [0.0, 1.0], [1.0, 0.0]], depth=2)
         b = _second_step(model)
         b.update(0.2)
-        assert _weights(b.hypothesis_set) == {(1, 0): 0.6}
+        assert prefix_weights(b.hypothesis_set) == {(1, 0): 0.6}
 
     def test_tie_rule_reweights(self):
         # step-2 set {(1, 1): 0.5, (1, 0): 0.5}: k = 2 and k = 1
         model = TableModel(2, [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]], depth=2)
         b = _second_step(model)
         b.update(0.3)
-        got = _weights(b.hypothesis_set)
+        got = prefix_weights(b.hypothesis_set)
         assert got[(1, 1)] == pytest.approx(0.25, abs=1e-15)
         assert got[(1, 0)] == pytest.approx(0.5, abs=1e-15)
-
-
-def _brute_posterior(model, measure, ps):
-    """All prefixes compatible with the realized p-path, weighted by
-    Q(prefix) times the product of 1/k over steps."""
-    out = {}
-    n = len(ps)
-    for prefix in itertools.product(range(model.alphabet_size), repeat=n):
-        log_q = model.sequence_log_probability(prefix)
-        if log_q == -math.inf:
-            continue
-        weight = math.exp(log_q)
-        alive = True
-        for j in range(1, n + 1):
-            window = np.asarray(prefix[:j], dtype=float)
-            n_star, n_upper = pvalue_step(measure.scores(window), 0.0)[:2]
-            if not n_star / j <= ps[j - 1] <= n_upper / j:
-                alive = False
-                break
-            weight /= n_upper - n_star
-        if alive:
-            out[prefix] = weight
-    return out
 
 
 class TestBayesKellyBettor:
@@ -215,73 +184,7 @@ class TestBayesKellyBettor:
             assert b.wealth == 0.0
         assert b.log_wealth == -math.inf
 
-    def test_posterior_matches_brute_force(self):
-        rng = np.random.default_rng(13)
-        model = random_table(3, depth=2, rng=rng)
-        measure = DistanceToMeanMeasure()
-        for _ in range(10):
-            b = BayesKellyBettor(model, measure)
-            ps = []
-            for n in range(1, 5):
-                b.next_density()
-                p = float(rng.random())
-                ps.append(p)
-                b.update(p)
-            want = _brute_posterior(model, measure, ps)
-            got = _weights(b.hypothesis_set)
-            assert set(got) == set(want)
-            for key, value in want.items():
-                assert got[key] == pytest.approx(value, abs=1e-12)
-
-
-def _random_hidden_state(rng, hidden):
-    """Seeded binary ``HiddenStateModel`` with structural zeros: about a
-    quarter of the transition entries (and of the initial law, when there
-    is more than one state) are exactly 0."""
-    initial = rng.dirichlet(np.ones(hidden))
-    if hidden > 1:
-        initial[rng.random(hidden) < 0.25] = 0.0
-        initial[rng.integers(hidden)] += 0.5
-    T = rng.dirichlet(np.ones(2 * hidden), size=hidden)
-    T[rng.random(T.shape) < 0.25] = 0.0
-    T[np.arange(hidden), rng.integers(2 * hidden, size=hidden)] += 0.5
-    return HiddenStateModel(initial / initial.sum(), (T / T.sum(axis=1)[:, None]).reshape(
-        hidden, 2, hidden))
-
-
-# 7 and 8 hidden states straddle the length at which numpy's sum over them
-# turns from left to right to pairwise
-_RANDOM_HIDDEN = [(hidden, seed) for hidden in (1, 2, 3) for seed in (0, 1, 2)] + [(7, 0), (8, 0)]
-
-
 class TestCollapse:
-    @pytest.mark.parametrize("model_factory, seed", [
-        (lambda: changepoint_model(0.5, 0.9, 0.2), 21),
-        (lambda: markov_model(0.1, 0.1), 21),
-        (lambda: changepoint_model(0.5, 0.9, 0.2), 22),
-        (lambda: markov_model(0.1, 0.1), 23),
-    ] + [
-        # random models with up to 8 hidden states, at uniform (non-grid) p-values
-        pytest.param(lambda h=hidden, s=seed: _random_hidden_state(
-            np.random.default_rng([h, s]), h), 21, id=f"random-{hidden}-{seed}")
-        for hidden, seed in _RANDOM_HIDDEN
-    ])
-    def test_collapsed_matches_full_horizon_8(self, model_factory, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            model = model_factory()
-            full = BayesKellyBettor(model, IdentityMeasure())
-            fast = CollapsedBayesKellyBettor(model, IdentityMeasure())
-            for n in range(1, 9):
-                hf = full.next_density().heights
-                hc = fast.next_density().heights
-                assert hf == pytest.approx(hc, abs=1e-12)
-                p = float(rng.random())
-                assert full.update(p) == pytest.approx(fast.update(p), abs=1e-12)
-                # log wealth is log n! plus the log of the posterior mass
-                assert full.log_wealth == pytest.approx(fast.log_wealth, abs=1e-12)
-                assert full.dead == fast.dead
-
     def test_refuses_non_identity_measure(self):
         with pytest.raises(TypeError):
             CollapsedBayesKellyBettor(changepoint_model(0.5, 0.9, 0.2), DistanceToMeanMeasure())
@@ -388,40 +291,14 @@ class TestCollapsedBits:
     def test_shipped_models(self, name):
         self._check(_SHIPPED_BINARY[name](), 200, 5)
 
-    @pytest.mark.parametrize("hidden, seed", _RANDOM_HIDDEN)
+    @pytest.mark.parametrize("hidden, seed", RANDOM_HIDDEN)
     def test_random_hidden_state_models(self, hidden, seed):
         rng = np.random.default_rng([hidden, seed])
-        self._check(_random_hidden_state(rng, hidden), int(rng.integers(20, 201)), seed)
-
-
-def _grid_pvalues(data, tau):
-    """The transducer's p-values at a constant tau: with tau 0 or 1 each is
-    exactly n_star/n or n_upper/n."""
-    steps = ctm_run(data, IdentityMeasure(), ConstantBettor(), np.full(len(data), tau), len(data))
-    return [s.p for s in steps]
+        self._check(random_binary_hidden_state(rng, hidden), int(rng.integers(20, 201)), seed)
 
 
 class TestGridPValues:
     """p-values exactly on a grid point, as constant:0 and constant:1 give."""
-
-    @pytest.mark.parametrize("tau", [0.0, 1.0])
-    @pytest.mark.parametrize("hidden, seed", _RANDOM_HIDDEN + [("changepoint", 0), ("markov", 0)])
-    def test_collapsed_matches_explicit(self, hidden, seed, tau):
-        rng = np.random.default_rng([7, seed])
-        if isinstance(hidden, str):
-            model = _SHIPPED_BINARY[hidden]()
-        else:
-            model = _random_hidden_state(np.random.default_rng([hidden, seed]), hidden)
-        for horizon in (6, 10):
-            ps = _grid_pvalues(model.sample(horizon, rng), tau)
-            full = BayesKellyBettor(model, IdentityMeasure())
-            fast = CollapsedBayesKellyBettor(model, IdentityMeasure())
-            for p in ps:
-                assert fast.next_density().heights == pytest.approx(
-                    full.next_density().heights, abs=1e-12)
-                assert fast.update(p) == pytest.approx(full.update(p), abs=1e-12)
-                assert fast.log_wealth == pytest.approx(full.log_wealth, abs=1e-12)
-                assert fast.dead == full.dead
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_realized_candidate_survives_explicit(self, tau):
@@ -432,9 +309,9 @@ class TestGridPValues:
         data += rng.integers(0, 2, 8).tolist()
         model = PointMassModel(data, alphabet_size=2)
         bettor = BayesKellyBettor(model, IdentityMeasure())
-        for n, p in enumerate(_grid_pvalues(data, tau), start=1):
+        for n, p in enumerate(grid_pvalues(data, tau), start=1):
             factor = bettor.update(p)
-            assert _weights(bettor.hypothesis_set).keys() == {tuple(data[:n])}, f"step {n}"
+            assert prefix_weights(bettor.hypothesis_set).keys() == {tuple(data[:n])}, f"step {n}"
             # tau 0 puts p on the first cell the candidate covers; tau 1 on the
             # boundary right after its last one, which belongs to the next cell
             assert factor > 0.0 or tau == 1.0
@@ -454,7 +331,7 @@ class TestGridPValues:
         initial = np.eye(size)[0]
         bettor = CollapsedBayesKellyBettor(HiddenStateModel(initial, T), IdentityMeasure())
         explicit = BayesKellyBettor(PointMassModel(data, alphabet_size=2), IdentityMeasure())
-        for n, p in enumerate(_grid_pvalues(data, tau), start=1):
+        for n, p in enumerate(grid_pvalues(data, tau), start=1):
             assert bettor.update(p) == pytest.approx(explicit.update(p), rel=1e-12)
             assert not bettor.dead, f"step {n}"
         assert bettor.log_wealth == pytest.approx(explicit.log_wealth, rel=1e-12)

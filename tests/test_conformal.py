@@ -18,6 +18,8 @@ from ctmkit import (
 from ctmkit.betting import linear_from_log
 from ctmkit.conformal import ConformityMeasure
 
+from test_differential import cell_of
+
 
 class TestScores:
     def test_identity_passthrough(self):
@@ -212,12 +214,8 @@ class TestCtmRun:
         bettor = bayes_kelly_bettor(model, measure)
         steps = ctm_run(data, measure, bettor, np.random.default_rng(11).random(4), 4)
         cells = cell_tree(model, measure, 4)
-        intervals = tuple(
-            min(int(s.p * n), n - 1) for n, s in enumerate(steps, start=1)
-        )
-        (match,) = [c for c in cells if c.intervals == intervals]
-        factors = match.bk_heights
-        assert bettor.wealth == pytest.approx(math.prod(factors), rel=1e-12)
+        (match,) = [c for c in cells if c.intervals == cell_of([s.p for s in steps])]
+        assert bettor.wealth == pytest.approx(math.prod(match.bk_heights), rel=1e-12)
         assert linear_from_log(steps[-1].log_wealth) == bettor.wealth
 
 

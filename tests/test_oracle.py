@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ctmkit import (
-    BayesKellyBettor,
     CellPath,
     DistanceToMeanMeasure,
     IdentityMeasure,
@@ -27,11 +26,6 @@ from ctmkit import (
 )
 
 from helpers import random_table
-
-
-def _weights(hset):
-    """Candidate prefix -> weight."""
-    return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}
 
 
 def _cell_volume_closure(cells) -> bool:
@@ -520,23 +514,6 @@ def _per_string(statistic, theta, n):
 
 
 class TestEngineAgreement:
-    def test_heights_and_weights_along_every_cell(self):
-        model = changepoint_model(0.5, 0.9, 0.2)
-        measure = IdentityMeasure()
-        cells = cell_tree(model, measure, 4, keep_weights=True)
-        for cell in cells:
-            bettor = BayesKellyBettor(model, measure)
-            for n, (idx, height) in enumerate(zip(cell.intervals, cell.bk_heights), 1):
-                mid = (idx + 0.5) / n
-                assert bettor.next_density().evaluate(mid) == pytest.approx(
-                    height, abs=1e-12
-                )
-                bettor.update(mid)
-            engine = _weights(bettor.hypothesis_set)
-            assert set(engine) == set(cell.final_weights)
-            for prefix, weight in cell.final_weights.items():
-                assert engine[prefix] == pytest.approx(weight, abs=1e-12)
-
     def test_factor_products_telescope_to_cell_mass(self):
         model = markov_model(0.1, 0.1)
         cells = cell_tree(model, IdentityMeasure(), 4)
