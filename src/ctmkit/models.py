@@ -109,18 +109,15 @@ class AlternativeModel(ABC):
     def probs(self, state) -> np.ndarray:
         """Probability vector of the next symbol in forward state ``state``."""
 
-    def state_after(self, prefix: Sequence[int]):
-        """Forward state after ``prefix``: :meth:`advance` folded over its
-        symbols, checked as :meth:`prefix_log_probabilities` checks them."""
+    def conditional(self, prefix: Sequence[int]) -> np.ndarray:
+        """Probability vector of the next symbol given ``prefix``: :meth:`advance`
+        folded over its symbols, checked as :meth:`prefix_log_probabilities`
+        checks them."""
         state = self.start()
         for z in symbol_list(prefix, self.alphabet_size,
                              f"symbols must be in range({self.alphabet_size})"):
             state = self.advance(state, z)
-        return state
-
-    def conditional(self, prefix: Sequence[int]) -> np.ndarray:
-        """Probability vector of the next symbol given ``prefix``."""
-        return self.probs(self.state_after(prefix))
+        return self.probs(state)
 
     def advance_batch(self, states, symbols: np.ndarray):
         """Forward states after one more symbol, one row per state.

@@ -4,7 +4,8 @@ The joint law of the first N conformal p-values, given any alternative over
 the observations, is piecewise uniform on a grid of N! cells (at step n the
 p-value falls into one of n equal intervals).  This module enumerates that
 cell tree exactly and computes, per cell: its volume, its probability mass
-under the alternative, and the Bayes-Kelly density heights along its path.
+under the alternative, the Bayes-Kelly density heights along its path, and
+the candidate posterior at its leaf.
 
 From the tree two quantities must agree to float precision, and that
 equality is the optimality certificate:
@@ -26,11 +27,11 @@ one call: both are pure functions of the prefix, so a prefix met at many
 nodes gets the same values it would get if recomputed there.  Rival
 families share one :class:`NodePlan` (which history node each cell meets at
 each depth, and where that node's heights sit in a rival's flat list), built
-once per cell list; a rival is then one list of node heights, and each
-height's log is taken once, and tested for a nonpositive height once.  The
-memo and the plan only cache this module's own values, so the oracle still
-shares no code with the engine.  The exchangeability e-variable check takes
-a whole grid of Bernoulli parameters at once: the 2^n strings are
+in one pass over a cell list; a rival is then one list of node heights, and
+each height's log is taken once, and tested for a nonpositive height once.
+The memo and the plan only cache this module's own values, so the oracle
+still shares no code with the engine.  The exchangeability e-variable check
+takes a whole grid of Bernoulli parameters at once: the 2^n strings are
 enumerated and the statistic read once per string for all of them.
 """
 
@@ -70,15 +71,15 @@ class CellPath:
     ``range(n)``); ``volume`` is the product of interval widths, 1/N! for
     every cell; ``q_mass`` the probability of the cell under the
     alternative; ``bk_heights`` the Bayes-Kelly predictive heights met along
-    the path (1.0 on steps after the path's mass has died).  When requested,
-    ``final_weights`` holds the surviving candidate weights at the leaf.
+    the path (1.0 on steps after the path's mass has died); ``final_weights``
+    the surviving candidate weights at the leaf, candidate prefix -> weight.
     """
 
     intervals: tuple
     volume: float
     q_mass: float
     bk_heights: tuple
-    final_weights: Optional[dict] = None
+    final_weights: dict
 
 
 def _rank_counts(scores) -> tuple:
@@ -98,7 +99,6 @@ def cell_tree(
     model: AlternativeModel,
     measure: ConformityMeasure,
     horizon: int,
-    keep_weights: bool = False,
 ) -> list:
     """Enumerate all N! cells with exact masses and Bayes-Kelly heights.
 
@@ -128,7 +128,7 @@ def cell_tree(
                     volume=volume,
                     q_mass=q_mass,
                     bk_heights=hpath,
-                    final_weights=dict(candidates) if keep_weights else None,
+                    final_weights=candidates,  # built for this leaf alone
                 )
             )
             return
@@ -254,34 +254,28 @@ def node_plan(cells) -> NodePlan:
 
     A history node is a p-value history: cells whose interval paths agree on
     their first d entries meet the same node at depth d, which faces d + 1
-    intervals.  Nodes are numbered in first-visit order: by the first cell
-    that reaches them, then by depth.  Cell c's factor at depth d is entry
+    intervals.  One pass over the cells in their given order, depth by depth,
+    numbers the nodes in first-visit order: by the first cell that reaches
+    them, then by depth.  Cell c's factor at depth d is entry
     ``intervals[d]`` of its node's heights.
     """
-    if not cells:
-        return NodePlan(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool), ())
-    iv = np.array([cell.intervals for cell in cells], dtype=np.int64)
-    count, horizon = iv.shape
-    cell_index = np.arange(count)
-    # first[c, d]: the first cell to reach cell c's history node at depth d,
-    # whose history iv[c, :d] has a mixed-radix code (entry k is in range(k + 1))
-    first = np.empty((count, horizon), dtype=np.int64)
-    code = np.zeros(count, dtype=np.int64)
-    for d in range(horizon):
-        if d:
-            code = code * d + iv[:, d - 1]
-        seen = np.full(math.factorial(d), count)
-        np.minimum.at(seen, code, cell_index)
-        first[:, d] = seen[code]
-    # Draw order is the row-major order of the (cell, depth) pairs at which a
-    # cell reaches a node first: by first cell, then by depth.
-    opens = first == cell_index[:, None]
-    draw_row = opens.ravel().cumsum().reshape(count, horizon) - 1
-    sizes = np.nonzero(opens)[1] + 1  # intervals per node, in draw order
-    grid = np.arange(horizon) < sizes[:, None]  # row r: node r's entries, zero-padded
-    starts = np.cumsum(sizes) - sizes  # where each node's heights begin in the flat list
-    paths = starts[draw_row[first, np.arange(horizon)]] + iv
-    return NodePlan(sizes, grid, tuple(map(_getter, paths.tolist())))
+    offsets: dict = {}  # history -> where its node's heights begin in the flat list
+    sizes: list = []  # intervals per node, in draw order
+    end = 0
+    getters = []
+    for cell in cells:
+        path = []
+        for d, interval in enumerate(cell.intervals):
+            history = cell.intervals[:d]
+            if history not in offsets:
+                offsets[history] = end
+                sizes.append(d + 1)
+                end += d + 1
+            path.append(offsets[history] + interval)
+        getters.append(_getter(path))
+    sizes = np.array(sizes, dtype=np.int64)
+    grid = np.arange(sizes.max(initial=0)) < sizes[:, None]  # row r: node r's entries, zero-padded
+    return NodePlan(sizes, grid, tuple(getters))
 
 
 def sample_betting_family(plan: NodePlan, rng: np.random.Generator) -> list:

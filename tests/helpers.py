@@ -47,6 +47,14 @@ def random_binary_hidden_state(rng, hidden):
 RANDOM_HIDDEN = [(hidden, seed) for hidden in (1, 2, 3) for seed in (0, 1, 2)] + [(7, 0), (8, 0)]
 
 
+def state_after(model, prefix):
+    """Forward state after ``prefix``: ``model.advance`` folded over its symbols."""
+    state = model.start()
+    for z in prefix:
+        state = model.advance(state, z)
+    return state
+
+
 def prefix_weights(hset):
     """Candidate prefix -> weight."""
     return {tuple(int(z) for z in row): float(w) for row, w in zip(hset.prefixes, hset.weights)}

@@ -135,9 +135,12 @@ MUTANTS = (
            "                    below, upto = ranks.get(prefix[:-1], ranks[prefix])",
            ("tests/test_oracle.py",)),
     Mutant("rival cell path reads the next slot of its node", "oracle.py",
-           "    paths = starts[draw_row[first, np.arange(horizon)]] + iv",
-           "    paths = starts[draw_row[first, np.arange(horizon)]] + (iv + 1) % "
-           "(np.arange(horizon) + 1)",
+           "            path.append(offsets[history] + interval)",
+           "            path.append(offsets[history] + (interval + 1) % (len(history) + 1))",
+           ("tests/test_oracle.py",)),
+    Mutant("rival node keyed by its last interval only", "oracle.py",
+           "            history = cell.intervals[:d]",
+           "            history = cell.intervals[d - 1:d]",
            ("tests/test_oracle.py",)),
     Mutant("rival scorer takes the one-pass sum without the nonpositive test", "oracle.py",
            "        if None not in node_logs:",

@@ -59,7 +59,7 @@ def certified_trees():
     """Cell trees shared by criteria 2, 3 and 7, with build time recorded."""
     start = time.perf_counter()
     trees = [
-        (name, model, measure, N, cell_tree(model, measure, N, keep_weights=True))
+        (name, model, measure, N, cell_tree(model, measure, N))
         for name, model, measure, N in _instances()
     ]
     return trees, time.perf_counter() - start

@@ -40,7 +40,7 @@ from ctmkit.betting import grid_index
 from ctmkit.harness import substream
 
 from helpers import (RANDOM_HIDDEN, grid_pvalues, prefix_weights, random_binary_hidden_state,
-                     random_hidden_state, random_table)
+                     random_hidden_state, random_table, state_after)
 
 TOL = 1e-12
 MEASURES = {"identity": IdentityMeasure, "distmean": DistanceToMeanMeasure}
@@ -130,7 +130,7 @@ def _oracle_case(name):
     seed, make, measure, horizon = ORACLE_CASES[name]
     rng = np.random.default_rng(seed)
     model, measure = make(rng), MEASURES[measure]()
-    cells = cell_tree(model, measure, horizon, keep_weights=True)
+    cells = cell_tree(model, measure, horizon)
     return model, measure, cells, rng.random((60, horizon)).tolist()
 
 
@@ -245,8 +245,8 @@ class _SuccessionModel(AlternativeModel):
 
 def _folded_extend(hset, model):
     """``extend`` without carried states: each candidate's conditional comes
-    from ``state_after`` folded over its whole prefix."""
-    probs = np.stack([model.probs(model.state_after(row.tolist())) for row in hset.prefixes])
+    from ``advance`` folded over its whole prefix."""
+    probs = np.stack([model.probs(state_after(model, row.tolist())) for row in hset.prefixes])
     child_w = (hset.weights[:, None] * probs).ravel()
     keep = child_w > 0.0
     parent, syms = np.divmod(np.flatnonzero(keep), model.alphabet_size)
@@ -277,7 +277,7 @@ def _check(model, measure_name, seed, horizon, tol, monkeypatch):
     assert carried and all(len(ext.states) == len(ext) for ext in carried)
     for ext in carried:
         for row, state in zip(ext.prefixes.tolist(), ext.states):
-            folded = model.state_after(row)
+            folded = state_after(model, row)
             if isinstance(folded, np.ndarray):
                 assert np.abs(np.asarray(state) - folded).max() <= tol
             else:

@@ -638,7 +638,8 @@ def _frozen_step(model, state, z):
 
 
 # (H, m, seed) for seeded random hidden-state models with structural zeros
-RANDOM_HIDDEN = [(hidden, m, seed) for hidden in (1, 2, 3, 4) for m in (2, 3) for seed in (0, 1)]
+HIDDEN_ALPHABET_SEEDS = [(hidden, m, seed)
+                         for hidden in (1, 2, 3, 4) for m in (2, 3) for seed in (0, 1)]
 
 
 class TestSamplerMemo:
@@ -658,7 +659,7 @@ class TestSamplerMemo:
         for horizon, seed in ((0, 0), (1, 1), (60, 2), (500, 3)):
             self._check(model, horizon, seed)
 
-    @pytest.mark.parametrize("hidden,m,seed", RANDOM_HIDDEN)
+    @pytest.mark.parametrize("hidden,m,seed", HIDDEN_ALPHABET_SEEDS)
     def test_random_hidden_state_models(self, hidden, m, seed):
         rng = np.random.default_rng([hidden, m, seed])
         self._check(random_hidden_state(rng, hidden, m), 300, seed)
@@ -683,7 +684,7 @@ class TestSamplerMemo:
         model.sample(1000, np.random.default_rng(0))
         assert len(reads) == len(set(reads)) == 3
 
-    @pytest.mark.parametrize("hidden,m,seed", RANDOM_HIDDEN)
+    @pytest.mark.parametrize("hidden,m,seed", HIDDEN_ALPHABET_SEEDS)
     def test_scalar_step_is_frozen(self, hidden, m, seed):
         # advance and probs give the bits of their former form, on the model
         # and on a pickled copy, as a --jobs worker gets it
@@ -757,27 +758,28 @@ def _walk_models():
 WALKS = ([(model, 12) for model in _walk_models()]
          + [(_ternary_changepoint(), 6),
             (random_table(3, depth=3, rng=np.random.default_rng(13)), 6)])
-# seeded random hidden-state models with structural zeros, H = 1..4
+# the seeded random hidden-state models, binary ones to depth 11, ternary to 6
 RANDOM_WALKS = [(random_hidden_state(np.random.default_rng([hidden, m, seed]), hidden, m),
                  11 if m == 2 else 6)
-                for hidden in (1, 2, 3, 4) for m in (2, 3) for seed in (0, 1)]
+                for hidden, m, seed in HIDDEN_ALPHABET_SEEDS]
 
 
 class TestLogProbabilityLevels:
     """The prefix-tree walk the e-variable table reads gives every string's
     ``sequence_log_probability``, bit for bit, over any alphabet."""
 
-    @pytest.mark.parametrize("model,depth", WALKS, ids=_ids(WALKS))
+    @pytest.mark.parametrize("model,depth", WALKS + RANDOM_WALKS, ids=_ids(WALKS + RANDOM_WALKS))
     def test_levels_equal_sequence_log_probability(self, model, depth):
-        levels = model.log_probability_levels(depth)
-        assert len(levels) == depth + 1
-        for k, level in enumerate(levels):
-            strings = [tuple(row) for row in _all_sequences(model.alphabet_size, k).tolist()]
-            want = [model.sequence_log_probability(s) for s in strings]
-            # a string missing from the level reads as -inf
-            assert [level.get(s, -math.inf) for s in strings] == want
-            assert set(level) <= set(strings)
-            assert -math.inf not in level.values()
+        for d in (1, 2, depth):
+            levels = model.log_probability_levels(d)
+            assert len(levels) == d + 1
+            for k, level in enumerate(levels):
+                strings = [tuple(row) for row in _all_sequences(model.alphabet_size, k).tolist()]
+                want = [model.sequence_log_probability(s) for s in strings]
+                # a string missing from the level reads as -inf
+                assert [level.get(s, -math.inf) for s in strings] == want
+                # the keys are the strings of positive probability, in lexicographic order
+                assert list(level) == [s for s, w in zip(strings, want) if w > -math.inf]
 
     @pytest.mark.parametrize("model,depth", WALKS + RANDOM_WALKS, ids=_ids(WALKS + RANDOM_WALKS))
     def test_levels_equal_the_frozen_walk(self, model, depth):
@@ -1015,7 +1017,7 @@ class TestForwardStateEdges:
                    rf"got {re.escape(shown)} at position {position}$")
         for data in (seq, np.asarray(seq)):
             for method in (model.prefix_log_probabilities, model.sequence_log_probability,
-                           model.state_after, model.conditional):
+                           model.conditional):
                 with pytest.raises(ValueError, match=message):
                     method(data)
 

@@ -405,7 +405,7 @@ class TestCellTreeBitIdentity:
     def test_matches_walk_before_memo(self, horizon):
         for model in _TREE_MODELS:
             for measure in (IdentityMeasure(), DistanceToMeanMeasure()):
-                got = cell_tree(model, measure, horizon, keep_weights=True)
+                got = cell_tree(model, measure, horizon)
                 assert got == _cell_tree_before_memo(model, measure, horizon, keep_weights=True)
 
 
